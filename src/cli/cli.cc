@@ -18,7 +18,6 @@
 #include "src/durability/recovery.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
-#include "src/labeling/compressed_io.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/json_reader.h"
@@ -43,7 +42,7 @@ Commands:
   build-index  --graph graph.gr --categories cats.txt --num-categories N
                --out store_dir [--order degree|dissection --rows R --cols C]
                [--threads T (parallel build; 0 = all cores, default 1)]
-               [--compressed-out labels.bin] [--indexes-out snapshot.bin]
+               [--indexes-out snapshot.bin]
   query        --graph graph.gr --categories cats.txt --num-categories N
                --source S --target T --sequence c1,c2,... [--k K]
                [--algorithm kpne|pk|sk] [--nn hoplabel|dijkstra] [--paths 1]
@@ -244,18 +243,9 @@ int CmdBuildIndex(const Args& args, std::ostream& out) {
     engine.WriteDiskStore(*dir);
     out << "wrote disk store to " << *dir << "\n";
   }
-  // Both snapshot writers go through write-temp + fsync + atomic-rename: a
-  // crash mid-write must never leave a torn file under the final name that
-  // a later `serve --indexes` would try to load.
-  if (auto compressed = args.Get("compressed-out")) {
-    AtomicFileWriter file(*compressed);
-    SerializeCompressed(engine.labeling(), file.stream());
-    file.Commit();
-    out << "wrote compressed labeling to " << *compressed << " ("
-        << CompressedSizeBytes(engine.labeling()) / 1048576.0 << " MB, "
-        << "plain would be "
-        << engine.labeling().IndexBytes() / 1048576.0 << " MB)\n";
-  }
+  // The snapshot goes through write-temp + fsync + atomic-rename: a crash
+  // mid-write must never leave a torn file under the final name that a
+  // later `serve --indexes` would try to load.
   if (auto snapshot = args.Get("indexes-out")) {
     AtomicFileWriter file(*snapshot);
     engine.SaveIndexes(file.stream());

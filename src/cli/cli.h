@@ -38,8 +38,8 @@ std::vector<uint32_t> ParseSequence(const std::string& text);
 ///   generate     synthesize a graph + categories to files
 ///   stats        print graph/category statistics
 ///   build-index  build hub-label indexes and persist them (plain disk
-///                store layout, compressed labeling, and/or a bulk
-///                snapshot for `serve --indexes`)
+///                store layout and/or a bulk snapshot for
+///                `serve --indexes`)
 ///   query        answer a KOSR query (optionally from a prebuilt store)
 ///   serve        long-lived query service speaking the newline protocol
 ///                of src/service/protocol.h over in/out

@@ -250,7 +250,8 @@ void KosrEngine::AbsorbLabelRepair(LabelRepairDelta delta,
   for (size_t i = 0; i < delta.changed_in.size(); ++i) {
     VertexId x = delta.changed_in[i];
     for (CategoryId c : categories_->CategoriesOf(x)) {
-      MutableInverted(c).UpdateMember(x, delta.old_in[i], labeling_->Lin(x));
+      MutableInverted(c).UpdateMember(x, delta.old_in[i],
+                                      labeling_->InRun(x).Keys());
     }
   }
   summary.changed_in_vertices = std::move(delta.changed_in);

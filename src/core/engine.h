@@ -30,7 +30,7 @@ class EngineSnapshot;
 struct EdgeUpdateSummary {
   bool graph_changed = false;
   bool labels_changed = false;
-  /// Vertices whose Lin / Lout label vectors the repair changed.
+  /// Vertices whose Lin / Lout label runs the repair changed.
   uint32_t changed_in_labels = 0;
   uint32_t changed_out_labels = 0;
   /// Vertices with a changed Lin (respectively Lout) vector, sorted — the

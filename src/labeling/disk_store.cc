@@ -24,22 +24,6 @@ T ReadPod(std::istream& in) {
   return value;
 }
 
-// Re-interleaves one sealed SoA run into the AoS on-disk record. The flat
-// store is the read view the rest of the system consumes, and the disk
-// format (count + LabelEntry array) predates it — snapshots stay
-// byte-identical to pre-flat-store writers.
-void WriteLabels(std::ostream& out, const LabelRun& run,
-                 std::vector<LabelEntry>& scratch) {
-  WritePod<uint64_t>(out, run.size);
-  scratch.clear();
-  scratch.reserve(run.size);
-  for (uint32_t i = 0; i < run.size; ++i) {
-    scratch.push_back({run.RankAt(i), run.DistAt(i), run.parent[i]});
-  }
-  out.write(reinterpret_cast<const char*>(scratch.data()),
-            static_cast<std::streamsize>(scratch.size() * sizeof(LabelEntry)));
-}
-
 std::vector<LabelEntry> ReadLabels(std::istream& in) {
   uint64_t size = ReadPod<uint64_t>(in);
   std::vector<LabelEntry> labels(size);
@@ -70,9 +54,9 @@ void DiskLabelStore::Write(const std::string& dir, const HubLabeling& labeling,
     std::ostream& out = writer.stream();
     for (VertexId v = 0; v < n; ++v) {
       label_offsets[2 * v] = static_cast<uint64_t>(out.tellp());
-      WriteLabels(out, labeling.InRun(v), scratch);
+      WriteLabelRun(out, labeling.InRun(v), scratch);
       label_offsets[2 * v + 1] = static_cast<uint64_t>(out.tellp());
-      WriteLabels(out, labeling.OutRun(v), scratch);
+      WriteLabelRun(out, labeling.OutRun(v), scratch);
     }
     writer.Commit();
   }
@@ -88,7 +72,7 @@ void DiskLabelStore::Write(const std::string& dir, const HubLabeling& labeling,
       WritePod<uint64_t>(out, members.size());
       for (VertexId m : members) {
         WritePod<VertexId>(out, m);
-        WriteLabels(out, labeling.OutRun(m), scratch);
+        WriteLabelRun(out, labeling.OutRun(m), scratch);
       }
       InvertedLabelIndex index = InvertedLabelIndex::Build(labeling, members);
       index.Serialize(out);

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "src/obs/counters.h"
@@ -21,36 +20,32 @@
 namespace kosr {
 namespace {
 
-// Binary search for a rank in a rank-sorted label vector. Returns nullptr if
-// absent.
-const LabelEntry* FindRank(std::span<const LabelEntry> labels, uint32_t rank) {
-  auto it = std::lower_bound(
-      labels.begin(), labels.end(), rank,
-      [](const LabelEntry& e, uint32_t r) { return e.hub_rank < r; });
-  if (it == labels.end() || it->hub_rank != rank) return nullptr;
-  return &*it;
-}
-
-// Inserts or updates an entry, keeping the vector sorted by rank. Returns
-// whether the vector changed (callers re-seal the flat runs of changed
-// vertices only).
-bool InsertOrUpdate(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
+// Inserts or updates an entry, keeping the buffer sorted by rank.
+void InsertOrUpdate(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
   if (labels.empty() || labels.back().hub_rank < entry.hub_rank) {
     labels.push_back(entry);
-    return true;
+    return;
   }
   auto it = std::lower_bound(labels.begin(), labels.end(), entry.hub_rank,
                              [](const LabelEntry& e, uint32_t r) {
                                return e.hub_rank < r;
                              });
   if (it != labels.end() && it->hub_rank == entry.hub_rank) {
-    if (entry.dist < it->dist) {
-      *it = entry;
-      return true;
-    }
-    return false;
+    if (entry.dist < it->dist) *it = entry;
+    return;
   }
   labels.insert(it, entry);
+}
+
+// Whether an edit buffer holds exactly the entries of a sealed run.
+bool RunEquals(const LabelRun& run, const std::vector<LabelEntry>& labels) {
+  if (run.size != labels.size()) return false;
+  for (uint32_t i = 0; i < run.size; ++i) {
+    if (run.key[i] != PackLabelKey(labels[i].hub_rank, labels[i].dist) ||
+        run.parent[i] != labels[i].parent) {
+      return false;
+    }
+  }
   return true;
 }
 
@@ -64,25 +59,21 @@ bool IsPermutation(const std::vector<VertexId>& order, uint32_t n) {
   return true;
 }
 
-// Snapshot validation shared by Deserialize and FromParts: every field of a
-// label entry is attacker-controlled until proven otherwise.
-void ValidateLabelVector(const std::vector<LabelEntry>& labels, uint32_t n,
-                         const char* what) {
-  uint32_t prev_rank = 0;
-  bool first = true;
-  for (const LabelEntry& e : labels) {
-    if (e.hub_rank >= n) {
+// Snapshot validation shared by Deserialize and FromParts, run on each run
+// as soon as it is sealed: every field of a label entry is
+// attacker-controlled until proven otherwise.
+void ValidateRun(const LabelRun& run, uint32_t n, const char* what) {
+  for (uint32_t i = 0; i < run.size; ++i) {
+    if (run.RankAt(i) >= n) {
       throw std::runtime_error(std::string(what) + ": hub rank out of range");
     }
-    if (!first && e.hub_rank <= prev_rank) {
+    if (i > 0 && run.RankAt(i) <= run.RankAt(i - 1)) {
       throw std::runtime_error(std::string(what) +
                                ": label vector not strictly rank-sorted");
     }
-    if (e.parent != kInvalidVertex && e.parent >= n) {
+    if (run.parent[i] != kInvalidVertex && run.parent[i] >= n) {
       throw std::runtime_error(std::string(what) + ": parent out of range");
     }
-    prev_rank = e.hub_rank;
-    first = false;
   }
 }
 
@@ -96,18 +87,44 @@ struct HubLabeling::CandidateLabel {
   VertexId parent;
 };
 
-// First-touch pre-repair snapshots of label vectors, captured immediately
-// before their first mutation. FinishRepair diffs them against the final
-// vectors, so the reported delta lists exactly the vertices whose labels
-// actually changed — a repair search that removes and re-inserts identical
-// entries (tight-but-unchanged hubs) contributes nothing.
-struct HubLabeling::RepairTracker {
-  std::unordered_map<VertexId, std::vector<LabelEntry>> old_in;
-  std::unordered_map<VertexId, std::vector<LabelEntry>> old_out;
+// Per-vertex edit buffers of one label side: the mutable working copy of
+// the runs a build or repair writes. A buffer opens as a copy of the
+// vertex's sealed run; readers see the open buffer where there is one and
+// the sealed run everywhere else, and since a run is never resealed while
+// its buffer is open, the run is the pre-edit state SealEdits diffs against.
+struct HubLabeling::EditSide {
+  std::vector<std::vector<LabelEntry>> bufs;  ///< By vertex, where open.
+  std::vector<uint8_t> open;
 
-  void Capture(bool in_side, VertexId v, const std::vector<LabelEntry>& cur) {
-    (in_side ? old_in : old_out).try_emplace(v, cur);
+  explicit EditSide(uint32_t n) : bufs(n), open(n, 0) {}
+
+  const std::vector<LabelEntry>* Find(VertexId v) const {
+    return open[v] ? &bufs[v] : nullptr;
   }
+
+  std::vector<LabelEntry>& Open(VertexId v, const FlatSide& flat) {
+    std::vector<LabelEntry>& buf = bufs[v];
+    if (!open[v]) {
+      open[v] = 1;
+      LabelRun run = flat.Run(v);
+      buf.reserve(run.size);
+      for (uint32_t i = 0; i < run.size; ++i) {
+        buf.push_back({run.RankAt(i), run.DistAt(i), run.parent[i]});
+      }
+    }
+    return buf;
+  }
+};
+
+// Both sides' edit buffers; `in` holds Lin edits (written by forward
+// searches), `out` Lout edits.
+struct HubLabeling::LabelEdits {
+  EditSide in;
+  EditSide out;
+
+  explicit LabelEdits(uint32_t n) : in(n), out(n) {}
+  EditSide& Side(bool in_side) { return in_side ? in : out; }
+  const EditSide& Side(bool in_side) const { return in_side ? in : out; }
 };
 
 // Per-thread pruned-Dijkstra scratch. dist/parent are dense arrays reset via
@@ -129,47 +146,45 @@ struct HubLabeling::SearchContext {
         scratch(n, kInfCost) {}
 };
 
-void HubLabeling::FlatSide::Seal(
-    const std::vector<std::vector<LabelEntry>>& labels) {
-  size_t n = labels.size();
-  runs.resize(n);
-  uint64_t total = kRunPadding;  // the shared empty run at slot 0
-  for (const auto& l : labels) {
-    if (!l.empty()) total += l.size() + kRunPadding;
-  }
-  key.clear();
-  parent.clear();
-  key.reserve(total);
-  parent.reserve(total);
+void HubLabeling::FlatSide::Reset(uint32_t n) {
   // Slot 0 is one shared sentinel block that every empty run points at —
   // a disk-store working set (FromParts) is almost entirely empty runs,
   // and paying kRunPadding slots for each of those would triple its
   // footprint for no information.
-  for (uint32_t p = 0; p < kRunPadding; ++p) {
-    key.push_back(kSentinelKey);
-    parent.push_back(kInvalidVertex);
+  runs.assign(n, RunRef{0, 0});
+  key.assign(kRunPadding, kSentinelKey);
+  parent.assign(kRunPadding, kInvalidVertex);
+  garbage = 0;
+}
+
+void HubLabeling::FlatSide::Compact() {
+  uint64_t total = kRunPadding;
+  for (const RunRef& r : runs) {
+    if (r.len > 0) total += r.len + kRunPadding;
   }
-  for (size_t v = 0; v < n; ++v) {
-    runs[v].len = static_cast<uint32_t>(labels[v].size());
-    if (labels[v].empty()) {
-      runs[v].start = 0;
-      continue;
-    }
-    runs[v].start = key.size();
-    for (const LabelEntry& e : labels[v]) {
-      key.push_back(PackLabelKey(e.hub_rank, e.dist));
-      parent.push_back(e.parent);
-    }
-    for (uint32_t p = 0; p < kRunPadding; ++p) {
-      key.push_back(kSentinelKey);
-      parent.push_back(kInvalidVertex);
-    }
+  std::vector<uint64_t> new_key;
+  std::vector<VertexId> new_parent;
+  new_key.reserve(total);
+  new_parent.reserve(total);
+  new_key.assign(kRunPadding, kSentinelKey);
+  new_parent.assign(kRunPadding, kInvalidVertex);
+  for (RunRef& r : runs) {
+    if (r.len == 0) continue;
+    // Each run carries its own sentinel padding; copy it along.
+    uint64_t start = new_key.size();
+    new_key.insert(new_key.end(), key.begin() + r.start,
+                   key.begin() + r.start + r.len + kRunPadding);
+    new_parent.insert(new_parent.end(), parent.begin() + r.start,
+                      parent.begin() + r.start + r.len + kRunPadding);
+    r.start = start;
   }
+  key = std::move(new_key);
+  parent = std::move(new_parent);
   garbage = 0;
 }
 
 void HubLabeling::FlatSide::ResealRun(VertexId v,
-                                      const std::vector<LabelEntry>& labels) {
+                                      std::span<const LabelEntry> labels) {
   uint32_t old_len = runs[v].len;
   uint32_t new_len = static_cast<uint32_t>(labels.size());
   // Runs at slot 0 are views of the shared empty block (never owned), so
@@ -213,26 +228,56 @@ void HubLabeling::FlatSide::ResealRun(VertexId v,
   runs[v].len = new_len;
 }
 
+uint64_t HubLabeling::FlatSide::Entries() const {
+  uint64_t total = 0;
+  for (const RunRef& r : runs) total += r.len;
+  return total;
+}
+
 uint64_t HubLabeling::FlatSide::Bytes() const {
   return key.size() * (sizeof(uint64_t) + sizeof(VertexId)) +
          runs.size() * sizeof(RunRef);
 }
 
-void HubLabeling::Seal() {
-  flat_in_.Seal(in_labels_);
-  flat_out_.Seal(out_labels_);
-}
-
-void HubLabeling::ResealTouched(
-    FlatSide& side, const std::vector<std::vector<LabelEntry>>& labels,
-    std::vector<VertexId>& touched) {
-  if (touched.empty()) return;
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (VertexId v : touched) side.ResealRun(v, labels[v]);
+std::vector<VertexId> HubLabeling::SealEdits(
+    FlatSide& side, EditSide& edits,
+    std::vector<std::vector<uint64_t>>* old_keys) {
+  // Room for the runs ResealRun will append at the tail (those that
+  // outgrow their slot or leave the shared empty block), grown
+  // geometrically as push_back would — but never past what is needed when
+  // that is more, so a build's seal lands in arrays of exactly its size.
+  uint64_t tail = 0;
+  for (VertexId v = 0; v < edits.bufs.size(); ++v) {
+    uint64_t len = edits.bufs[v].size();
+    const FlatSide::RunRef& r = side.runs[v];
+    if (edits.open[v] && len > 0 && (r.start == 0 || len > r.len)) {
+      tail += len + kRunPadding;
+    }
+  }
+  if (side.key.size() + tail > side.key.capacity()) {
+    uint64_t cap = std::max(side.key.size() + tail, 2 * side.key.size());
+    side.key.reserve(cap);
+    side.parent.reserve(cap);
+  }
+  std::vector<VertexId> changed;
+  for (VertexId v = 0; v < edits.bufs.size(); ++v) {
+    if (!edits.open[v]) continue;
+    std::vector<LabelEntry>& buf = edits.bufs[v];
+    LabelRun run = side.Run(v);
+    if (!RunEquals(run, buf)) {
+      changed.push_back(v);
+      if (old_keys != nullptr) {
+        auto keys = run.Keys();
+        old_keys->emplace_back(keys.begin(), keys.end());
+      }
+      side.ResealRun(v, buf);
+    }
+    std::vector<LabelEntry>().swap(buf);  // sealed: drop the copy now
+  }
   // Compact once a quarter of the slots are dead — keeps the arrays within
   // a constant factor of the live size under sustained update streams.
-  if (side.garbage * 4 > side.key.size()) side.Seal(labels);
+  if (side.garbage * 4 > side.key.size()) side.Compact();
+  return changed;
 }
 
 uint64_t HubLabeling::FlatBytes() const {
@@ -277,11 +322,14 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
     throw std::invalid_argument("order must be a permutation of the vertices");
   }
   WallTimer timer;
-  in_labels_.assign(n, {});
-  out_labels_.assign(n, {});
   order_ = order;
   rank_.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) rank_[order_[r]] = r;
+  // All runs start empty; the build writes only into edit buffers, opened
+  // on each vertex's first entry, and seals them once at the end.
+  flat_in_.Reset(n);
+  flat_out_.Reset(n);
+  LabelEdits edits(n);
 
   num_threads = ResolveThreadCount(num_threads);
   if (num_threads == 1) {
@@ -290,14 +338,20 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
     // batched commit re-check would be pure duplicated work.
     SearchContext ctx(n);
     for (uint32_t r = 0; r < n; ++r) {
-      PrunedSearch(graph, r, /*forward=*/true, {{order_[r], 0}}, ctx, nullptr);
-      PrunedSearch(graph, r, /*forward=*/false, {{order_[r], 0}}, ctx,
-                   nullptr);
+      PrunedSearch(graph, r, /*forward=*/true, ctx, edits, nullptr);
+      PrunedSearch(graph, r, /*forward=*/false, ctx, edits, nullptr);
     }
-    Seal();
-    build_seconds_ = timer.ElapsedSeconds();
-    return;
+  } else {
+    BuildBatched(graph, num_threads, edits);
   }
+  SealEdits(flat_in_, edits.in, nullptr);
+  SealEdits(flat_out_, edits.out, nullptr);
+  build_seconds_ = timer.ElapsedSeconds();
+}
+
+void HubLabeling::BuildBatched(const Graph& graph, uint32_t num_threads,
+                               LabelEdits& edits) {
+  const uint32_t n = num_vertices();
 
   // One persistent pool for the whole build: the batch loop below issues
   // one parallel-for per batch (hundreds per index), and respawning threads
@@ -312,7 +366,7 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
 
   // Rank-batched construction. Threads run pruned searches for every hub of
   // the batch against the labels committed by *earlier* batches only (the
-  // label vectors are never written while searches run, so sharing them is
+  // edit buffers are never written while searches run, so sharing them is
   // race-free); the weaker prune admits extra candidates, and the sequential
   // commit phase below re-checks each one in rank order against the labels
   // committed so far — including same-batch smaller ranks — so exactly the
@@ -323,7 +377,7 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
   //
   // Concurrency contract (DESIGN.md, "Concurrency contract"): this build
   // deliberately owns no lock. Each task writes only its own disjoint
-  // candidates[task] slot, the shared label vectors are read-only while
+  // candidates[task] slot, the shared edit buffers are read-only while
   // searches run, and ParallelFor's internal mutex is the barrier whose
   // release/acquire ordering publishes each batch's committed labels to
   // the next batch's searches. Adding shared mutable state here means
@@ -339,52 +393,87 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
     pool.ParallelFor(tasks, [&](uint64_t task, uint32_t thread) {
       uint32_t rank = begin + static_cast<uint32_t>(task) / 2;
       bool forward = task % 2 == 0;
-      PrunedSearch(graph, rank, forward, {{order_[rank], 0}},
-                   *contexts[thread], &candidates[task]);
+      PrunedSearch(graph, rank, forward, *contexts[thread], edits,
+                   &candidates[task]);
     });
     // Commit in rank order, forward before backward — the same order the
     // sequential build writes labels in.
     for (uint32_t i = 0; i < batch_size; ++i) {
       CommitCandidates(begin + i, /*forward=*/true, candidates[2 * i],
-                       *contexts[0]);
+                       *contexts[0], edits);
       CommitCandidates(begin + i, /*forward=*/false, candidates[2 * i + 1],
-                       *contexts[0]);
+                       *contexts[0], edits);
     }
   }
-  Seal();
-  build_seconds_ = timer.ElapsedSeconds();
 }
 
-void HubLabeling::PrunedSearch(
-    const Graph& graph, uint32_t rank, bool forward,
-    const std::vector<std::pair<VertexId, Cost>>& seeds, SearchContext& ctx,
-    std::vector<CandidateLabel>* candidates, RepairTracker* tracker) {
-  VertexId hub = order_[rank];
+// Both prune helpers read a vertex's open edit buffer if it has one and its
+// sealed run otherwise, stopping at the first rank >= `rank`; on a run the
+// sentinel's rank exceeds every real one, so the scan stops in-run.
 
-  // Load the hub's own opposite-side labels (ranks < `rank`) into the dense
+void HubLabeling::LoadHubScratch(uint32_t rank, bool forward,
+                                 const LabelEdits& edits,
+                                 SearchContext& ctx) const {
+  // The hub's own opposite-side labels (ranks < `rank`) go into the dense
   // scratch table: query(hub, x) (forward) is then a scan of Lin(x).
-  const auto& hub_labels = forward ? out_labels_[hub] : in_labels_[hub];
-  for (const LabelEntry& e : hub_labels) {
-    if (e.hub_rank >= rank) break;
-    ctx.scratch[e.hub_rank] = e.dist;
-    ctx.scratch_touched.push_back(e.hub_rank);
+  VertexId hub = order_[rank];
+  auto load = [&](uint32_t r, uint32_t d) {
+    ctx.scratch[r] = d;
+    ctx.scratch_touched.push_back(r);
+  };
+  if (const std::vector<LabelEntry>* buf = edits.Side(!forward).Find(hub)) {
+    for (const LabelEntry& e : *buf) {
+      if (e.hub_rank >= rank) break;
+      load(e.hub_rank, e.dist);
+    }
+    return;
   }
+  const FlatSide& flat = forward ? flat_out_ : flat_in_;
+  for (const uint64_t* k = flat.Run(hub).key; (*k >> 32) < rank; ++k) {
+    load(static_cast<uint32_t>(*k >> 32), static_cast<uint32_t>(*k));
+  }
+}
+
+Cost HubLabeling::Covered(uint32_t rank, bool forward, VertexId x,
+                          const LabelEdits& edits,
+                          const SearchContext& ctx) const {
+  // Hubs of strictly smaller rank certify dis(hub, x) (forward) through
+  // x's Lin and the hub's Lout loaded into scratch. The hottest loop of a
+  // build: the accumulator stays a local so it lives in a register.
+  const Cost* scratch = ctx.scratch.data();
+  Cost covered = kInfCost;
+  if (const std::vector<LabelEntry>* buf = edits.Side(forward).Find(x)) {
+    for (const LabelEntry& e : *buf) {
+      if (e.hub_rank >= rank) break;
+      Cost via = scratch[e.hub_rank];
+      if (via != kInfCost) covered = std::min(covered, via + e.dist);
+    }
+    return covered;
+  }
+  const FlatSide& flat = forward ? flat_in_ : flat_out_;
+  for (const uint64_t* k = flat.Run(x).key; (*k >> 32) < rank; ++k) {
+    Cost via = scratch[*k >> 32];
+    if (via != kInfCost) {
+      covered = std::min(covered, via + static_cast<uint32_t>(*k));
+    }
+  }
+  return covered;
+}
+
+void HubLabeling::PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
+                               SearchContext& ctx, LabelEdits& edits,
+                               std::vector<CandidateLabel>* candidates) const {
+  LoadHubScratch(rank, forward, edits, ctx);
 
   auto& dist = ctx.dist;
   auto& parent = ctx.parent;
   auto& touched = ctx.touched;
   auto& heap = ctx.heap;
 
-  for (const auto& [v, d] : seeds) {
-    if (d < dist[v]) {
-      if (dist[v] == kInfCost) touched.push_back(v);
-      dist[v] = d;
-      // Seed parents for resumed searches are patched by the caller via the
-      // existing labels; for construction the seed is the hub itself.
-      parent[v] = kInvalidVertex;
-      heap.InsertOrDecrease(v, d);
-    }
-  }
+  VertexId hub = order_[rank];
+  touched.push_back(hub);
+  dist[hub] = 0;
+  heap.InsertOrDecrease(hub, 0);
 
   // Relaxations accumulate in a register and hit the thread-local slot once
   // per search, after the heap drains.
@@ -392,21 +481,14 @@ void HubLabeling::PrunedSearch(
   while (!heap.Empty()) {
     auto [d, x] = heap.ExtractMin();
     // Prune if hubs of strictly smaller rank already certify dis <= d.
-    const auto& x_labels = forward ? in_labels_[x] : out_labels_[x];
-    Cost covered = kInfCost;
-    for (const LabelEntry& e : x_labels) {
-      if (e.hub_rank >= rank) break;
-      Cost via = ctx.scratch[e.hub_rank];
-      if (via != kInfCost) covered = std::min(covered, via + e.dist);
-    }
-    if (covered <= d) continue;
+    if (Covered(rank, forward, x, edits, ctx) <= d) continue;
 
     if (candidates != nullptr) {
       candidates->push_back({x, static_cast<uint32_t>(d), parent[x]});
     } else {
-      auto& target_labels = forward ? in_labels_[x] : out_labels_[x];
-      if (tracker != nullptr) tracker->Capture(forward, x, target_labels);
-      InsertOrUpdate(target_labels, {rank, static_cast<uint32_t>(d), parent[x]});
+      InsertOrUpdate(
+          edits.Side(forward).Open(x, forward ? flat_in_ : flat_out_),
+          {rank, static_cast<uint32_t>(d), parent[x]});
     }
 
     auto arcs = forward ? graph.OutArcs(x) : graph.InArcs(x);
@@ -444,27 +526,18 @@ void HubLabeling::PrunedSearch(
 
 void HubLabeling::CommitCandidates(
     uint32_t rank, bool forward, const std::vector<CandidateLabel>& candidates,
-    SearchContext& ctx) {
-  VertexId hub = order_[rank];
+    SearchContext& ctx, LabelEdits& edits) const {
   // Same scratch layout as the search-time prune, but now over the fully
   // committed prefix: same-batch hubs of smaller rank are in by now.
-  const auto& hub_labels = forward ? out_labels_[hub] : in_labels_[hub];
-  for (const LabelEntry& e : hub_labels) {
-    if (e.hub_rank >= rank) break;
-    ctx.scratch[e.hub_rank] = e.dist;
-    ctx.scratch_touched.push_back(e.hub_rank);
-  }
+  LoadHubScratch(rank, forward, edits, ctx);
   for (const CandidateLabel& c : candidates) {
-    const auto& labels = forward ? in_labels_[c.vertex] : out_labels_[c.vertex];
-    Cost covered = kInfCost;
-    for (const LabelEntry& e : labels) {
-      if (e.hub_rank >= rank) break;
-      Cost via = ctx.scratch[e.hub_rank];
-      if (via != kInfCost) covered = std::min(covered, via + e.dist);
+    if (Covered(rank, forward, c.vertex, edits, ctx) <=
+        static_cast<Cost>(c.dist)) {
+      continue;
     }
-    if (covered <= static_cast<Cost>(c.dist)) continue;
-    auto& target = forward ? in_labels_[c.vertex] : out_labels_[c.vertex];
-    InsertOrUpdate(target, {rank, c.dist, c.parent});
+    InsertOrUpdate(
+        edits.Side(forward).Open(c.vertex, forward ? flat_in_ : flat_out_),
+        {rank, c.dist, c.parent});
   }
   for (uint32_t r : ctx.scratch_touched) ctx.scratch[r] = kInfCost;
   ctx.scratch_touched.clear();
@@ -526,32 +599,6 @@ std::optional<std::pair<Cost, uint32_t>> HubLabeling::QueryWithHub(
     best = QueryGallop(a, b, best_rank);
   } else {
     best = MergeLabelRuns<true>(a, b, best_rank);
-  }
-  if (best == kInfCost) return std::nullopt;
-  return std::make_pair(best, best_rank);
-}
-
-std::optional<std::pair<Cost, uint32_t>> HubLabeling::QueryWithHubReference(
-    VertexId s, VertexId t) const {
-  const auto& a = out_labels_[s];
-  const auto& b = in_labels_[t];
-  Cost best = kInfCost;
-  uint32_t best_rank = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub_rank == b[j].hub_rank) {
-      Cost d = static_cast<Cost>(a[i].dist) + b[j].dist;
-      if (d < best) {
-        best = d;
-        best_rank = a[i].hub_rank;
-      }
-      ++i;
-      ++j;
-    } else if (a[i].hub_rank < b[j].hub_rank) {
-      ++i;
-    } else {
-      ++j;
-    }
   }
   if (best == kInfCost) return std::nullopt;
   return std::make_pair(best, best_rank);
@@ -713,26 +760,25 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
   // Phase 2 — drop every label entry owned by an affected hub. Entries can
   // move to new vertices after the update (weaker coverage), so a full
   // re-search replaces a per-entry patch; stale entries must go first or
-  // InsertOrUpdate would keep their smaller, now-wrong distances.
-  RepairTracker tracker;
+  // InsertOrUpdate would keep their smaller, now-wrong distances. Only the
+  // vertices holding such an entry get an edit buffer.
+  LabelEdits edits(n);
+  auto scrub = [&](VertexId x, bool in_side,
+                   const std::vector<bool>& affected) {
+    const FlatSide& flat = in_side ? flat_in_ : flat_out_;
+    LabelRun run = flat.Run(x);
+    bool any = false;
+    for (uint32_t i = 0; i < run.size && !any; ++i) {
+      any = affected[run.RankAt(i)];
+    }
+    if (!any) return;
+    std::erase_if(edits.Side(in_side).Open(x, flat), [&](const LabelEntry& e) {
+      return affected[e.hub_rank];
+    });
+  };
   for (VertexId x = 0; x < n; ++x) {
-    auto scrub = [&](bool in_side, std::vector<LabelEntry>& labels,
-                     const std::vector<bool>& affected) {
-      bool any = false;
-      for (const LabelEntry& e : labels) {
-        if (affected[e.hub_rank]) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) return;
-      tracker.Capture(in_side, x, labels);
-      std::erase_if(labels, [&](const LabelEntry& e) {
-        return affected[e.hub_rank];
-      });
-    };
-    scrub(/*in_side=*/true, in_labels_[x], fwd_affected);
-    scrub(/*in_side=*/false, out_labels_[x], bwd_affected);
+    scrub(x, /*in_side=*/true, fwd_affected);
+    scrub(x, /*in_side=*/false, bwd_affected);
   }
 
   // Phase 3 — re-run the affected hubs' pruned searches against the updated
@@ -748,53 +794,30 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
     bool take_fwd = bi >= bwd_ranks.size() ||
                     (fi < fwd_ranks.size() && fwd_ranks[fi] <= bwd_ranks[bi]);
     uint32_t r = take_fwd ? fwd_ranks[fi++] : bwd_ranks[bi++];
-    PrunedSearch(graph, r, /*forward=*/take_fwd, {{order_[r], 0}}, ctx,
-                 nullptr, &tracker);
+    PrunedSearch(graph, r, /*forward=*/take_fwd, ctx, edits, nullptr);
   }
-  return FinishRepair(tracker);
-}
 
-LabelRepairDelta HubLabeling::FinishRepair(RepairTracker& tracker) {
+  // Reseal exactly the runs whose buffers differ from them: a re-search
+  // that removes and re-inserts identical entries (tight-but-unchanged
+  // hubs) contributes nothing to the delta.
   LabelRepairDelta delta;
-  for (auto& [x, old] : tracker.old_in) {
-    if (old != in_labels_[x]) delta.changed_in.push_back(x);
-  }
-  std::sort(delta.changed_in.begin(), delta.changed_in.end());
-  delta.old_in.reserve(delta.changed_in.size());
-  for (VertexId x : delta.changed_in) {
-    delta.old_in.push_back(std::move(tracker.old_in[x]));
-  }
-  for (auto& [x, old] : tracker.old_out) {
-    if (old != out_labels_[x]) delta.changed_out.push_back(x);
-  }
-  std::sort(delta.changed_out.begin(), delta.changed_out.end());
-  // Re-seal exactly the runs that changed (ResealTouched tolerates — and
-  // here receives — an already sorted, unique list).
-  std::vector<VertexId> in_touched = delta.changed_in;
-  std::vector<VertexId> out_touched = delta.changed_out;
-  ResealTouched(flat_in_, in_labels_, in_touched);
-  ResealTouched(flat_out_, out_labels_, out_touched);
+  delta.changed_in = SealEdits(flat_in_, edits.in, &delta.old_in);
+  delta.changed_out = SealEdits(flat_out_, edits.out, nullptr);
   return delta;
 }
 
 double HubLabeling::AvgInLabelSize() const {
-  uint64_t total = 0;
-  for (const auto& l : in_labels_) total += l.size();
-  return in_labels_.empty() ? 0 : static_cast<double>(total) / in_labels_.size();
+  uint32_t n = num_vertices();
+  return n == 0 ? 0 : static_cast<double>(flat_in_.Entries()) / n;
 }
 
 double HubLabeling::AvgOutLabelSize() const {
-  uint64_t total = 0;
-  for (const auto& l : out_labels_) total += l.size();
-  return out_labels_.empty() ? 0
-                             : static_cast<double>(total) / out_labels_.size();
+  uint32_t n = num_vertices();
+  return n == 0 ? 0 : static_cast<double>(flat_out_.Entries()) / n;
 }
 
 uint64_t HubLabeling::IndexBytes() const {
-  uint64_t entries = 0;
-  for (const auto& l : in_labels_) entries += l.size();
-  for (const auto& l : out_labels_) entries += l.size();
-  return entries * sizeof(LabelEntry);
+  return (flat_in_.Entries() + flat_out_.Entries()) * sizeof(LabelEntry);
 }
 
 namespace {
@@ -812,36 +835,47 @@ T ReadPod(std::istream& in) {
   return value;
 }
 
-void WriteLabelVector(std::ostream& out, const std::vector<LabelEntry>& l) {
-  WritePod<uint64_t>(out, l.size());
-  out.write(reinterpret_cast<const char*>(l.data()),
-            static_cast<std::streamsize>(l.size() * sizeof(LabelEntry)));
-}
-
-// `max_size` bounds the allocation before it happens: a vertex has at most
-// one entry per hub, so any claimed size beyond the vertex count is
-// malformed, not merely big.
-std::vector<LabelEntry> ReadLabelVector(std::istream& in, uint64_t max_size) {
+// Reads one snapshot record into `l`. `max_size` bounds the allocation
+// before it happens: a vertex has at most one entry per hub, so any claimed
+// size beyond the vertex count is malformed, not merely big.
+void ReadLabelVector(std::istream& in, uint64_t max_size,
+                     std::vector<LabelEntry>& l) {
   uint64_t size = ReadPod<uint64_t>(in);
   if (size > max_size) {
     throw std::runtime_error("label vector size exceeds vertex count");
   }
-  std::vector<LabelEntry> l(size);
+  l.resize(size);
   in.read(reinterpret_cast<char*>(l.data()),
           static_cast<std::streamsize>(size * sizeof(LabelEntry)));
   if (!in) throw std::runtime_error("truncated hub labeling stream");
-  return l;
 }
 
 }  // namespace
+
+void WriteLabelRun(std::ostream& out, const LabelRun& run,
+                   std::vector<LabelEntry>& scratch) {
+  WritePod<uint64_t>(out, run.size);
+  scratch.clear();
+  scratch.reserve(run.size);
+  for (uint32_t i = 0; i < run.size; ++i) {
+    scratch.push_back({run.RankAt(i), run.DistAt(i), run.parent[i]});
+  }
+  out.write(reinterpret_cast<const char*>(scratch.data()),
+            static_cast<std::streamsize>(scratch.size() * sizeof(LabelEntry)));
+}
 
 void HubLabeling::Serialize(std::ostream& out) const {
   WritePod<uint64_t>(out, 0x4b4f53524c424c31ull);  // "KOSRLBL1"
   WritePod<uint32_t>(out, num_vertices());
   out.write(reinterpret_cast<const char*>(order_.data()),
             static_cast<std::streamsize>(order_.size() * sizeof(VertexId)));
-  for (const auto& l : in_labels_) WriteLabelVector(out, l);
-  for (const auto& l : out_labels_) WriteLabelVector(out, l);
+  std::vector<LabelEntry> scratch;
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    WriteLabelRun(out, flat_in_.Run(v), scratch);
+  }
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    WriteLabelRun(out, flat_out_.Run(v), scratch);
+  }
 }
 
 HubLabeling HubLabeling::Deserialize(std::istream& in,
@@ -865,15 +899,16 @@ HubLabeling HubLabeling::Deserialize(std::istream& in,
   }
   hl.rank_.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) hl.rank_[hl.order_[r]] = r;
-  hl.in_labels_.resize(n);
-  hl.out_labels_.resize(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    hl.in_labels_[v] = ReadLabelVector(in, n);
-    ValidateLabelVector(hl.in_labels_[v], n, "hub labeling Lin");
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    hl.out_labels_[v] = ReadLabelVector(in, n);
-    ValidateLabelVector(hl.out_labels_[v], n, "hub labeling Lout");
+  std::vector<LabelEntry> record;
+  for (FlatSide* side : {&hl.flat_in_, &hl.flat_out_}) {
+    const char* what =
+        side == &hl.flat_in_ ? "hub labeling Lin" : "hub labeling Lout";
+    side->Reset(n);
+    for (uint32_t v = 0; v < n; ++v) {
+      ReadLabelVector(in, n, record);
+      side->ResealRun(v, record);
+      ValidateRun(side->Run(v), n, what);
+    }
   }
   // Structural pass: parent chains must be walkable, or UnpackPath on a
   // hostile snapshot could chase dangling or circular parents. In any real
@@ -883,26 +918,27 @@ HubLabeling HubLabeling::Deserialize(std::istream& in,
   // parentless entry is exactly the hub's self-entry. Full snapshots (unlike
   // FromParts working sets) contain every chain link, so both invariants are
   // checkable here.
-  for (uint32_t side = 0; side < 2; ++side) {
-    const auto& labels = side == 0 ? hl.in_labels_ : hl.out_labels_;
+  for (const FlatSide* side : {&hl.flat_in_, &hl.flat_out_}) {
     for (uint32_t v = 0; v < n; ++v) {
-      for (const LabelEntry& e : labels[v]) {
-        if (e.parent == kInvalidVertex) {
-          if (hl.order_[e.hub_rank] != v) {
+      LabelRun run = side->Run(v);
+      for (uint32_t i = 0; i < run.size; ++i) {
+        uint32_t rank = run.RankAt(i);
+        if (run.parent[i] == kInvalidVertex) {
+          if (hl.order_[rank] != v) {
             throw std::runtime_error(
                 "hub labeling entry without a parent is not a hub self-entry");
           }
           continue;
         }
-        const LabelEntry* p = FindRank(labels[e.parent], e.hub_rank);
-        if (p == nullptr || p->dist >= e.dist) {
+        LabelRun up = side->Run(run.parent[i]);
+        uint32_t j = FindRankInRun(up, rank);
+        if (j == up.size || up.DistAt(j) >= run.DistAt(i)) {
           throw std::runtime_error(
               "hub labeling parent chain is broken or not decreasing");
         }
       }
     }
   }
-  hl.Seal();
   return hl;
 }
 
@@ -917,15 +953,21 @@ HubLabeling HubLabeling::FromParts(
   if (in_labels.size() != n || out_labels.size() != n) {
     throw std::runtime_error("label table size disagrees with hub order");
   }
-  for (const auto& l : in_labels) ValidateLabelVector(l, n, "Lin part");
-  for (const auto& l : out_labels) ValidateLabelVector(l, n, "Lout part");
   HubLabeling hl;
   hl.order_ = std::move(order);
-  hl.in_labels_ = std::move(in_labels);
-  hl.out_labels_ = std::move(out_labels);
   hl.rank_.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) hl.rank_[hl.order_[r]] = r;
-  hl.Seal();
+  auto seal = [n](FlatSide& side,
+                  const std::vector<std::vector<LabelEntry>>& labels,
+                  const char* what) {
+    side.Reset(n);
+    for (VertexId v = 0; v < n; ++v) {
+      side.ResealRun(v, labels[v]);
+      ValidateRun(side.Run(v), n, what);
+    }
+  };
+  seal(hl.flat_in_, in_labels, "Lin part");
+  seal(hl.flat_out_, out_labels, "Lout part");
   return hl;
 }
 

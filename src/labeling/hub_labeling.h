@@ -71,19 +71,21 @@ struct LabelRun {
     return static_cast<uint32_t>(key[i] >> 32);
   }
   uint32_t DistAt(uint32_t i) const { return static_cast<uint32_t>(key[i]); }
+  std::span<const uint64_t> Keys() const { return {key, size}; }
 };
 
 /// Summary of an incremental label repair: exactly the vertices whose label
-/// vectors actually changed (vertices a repair search merely revisited with
-/// identical entries are filtered out). `old_in[i]` holds the pre-repair
-/// Lin(changed_in[i]) so consumers that mirror per-vertex Lin state — the
-/// per-category inverted label indexes — can diff old against current
-/// entries and patch only the affected lists instead of rebuilding. Lout has
-/// no such consumer, so only the changed-vertex list is reported for it.
+/// runs actually changed (vertices a repair search merely revisited with
+/// identical entries are filtered out). `old_in[i]` holds a copy of the
+/// packed keys of the pre-repair Lin run of changed_in[i], taken before the
+/// reseal, so consumers that mirror per-vertex Lin state — the per-category
+/// inverted label indexes — can diff old against current keys and patch
+/// only the affected lists instead of rebuilding. Lout has no such
+/// consumer, so only the changed-vertex list is reported for it.
 struct LabelRepairDelta {
-  std::vector<VertexId> changed_in;                 ///< Sorted, unique.
-  std::vector<std::vector<LabelEntry>> old_in;      ///< Parallel to changed_in.
-  std::vector<VertexId> changed_out;                ///< Sorted, unique.
+  std::vector<VertexId> changed_in;               ///< Sorted, unique.
+  std::vector<std::vector<uint64_t>> old_in;      ///< Parallel to changed_in.
+  std::vector<VertexId> changed_out;              ///< Sorted, unique.
 
   bool Empty() const { return changed_in.empty() && changed_out.empty(); }
   uint64_t ChangedVertices() const {
@@ -99,6 +101,12 @@ inline uint32_t FindRankInRun(const LabelRun& run, uint32_t r) {
   if (it == end || (*it >> 32) != r) return run.size;
   return static_cast<uint32_t>(it - run.key);
 }
+
+/// Writes one run as the snapshot record every label format shares: a
+/// uint64 entry count, then that many LabelEntry structs. `scratch` is
+/// reused across calls to re-interleave the SoA run.
+void WriteLabelRun(std::ostream& out, const LabelRun& run,
+                   std::vector<LabelEntry>& scratch);
 
 /// 2-hop labeling (a.k.a. hub labeling) for directed weighted graphs, built
 /// with Pruned Landmark Labeling [Akiba et al., SIGMOD 2013] generalized to
@@ -147,27 +155,18 @@ class HubLabeling {
   std::optional<std::pair<Cost, uint32_t>> QueryWithHub(VertexId s,
                                                         VertexId t) const;
 
-  /// Reference implementation of QueryWithHub over the nested label
-  /// vectors, bypassing the flat store. Kept for the flat-vs-nested
-  /// equivalence property test and the bench_label_query before/after
-  /// comparison; not a production path.
-  std::optional<std::pair<Cost, uint32_t>> QueryWithHubReference(
-      VertexId s, VertexId t) const;
-
   /// Shortest s-t path as a full vertex sequence (empty if unreachable,
   /// {s} if s == t). Cost of the returned path equals Query(s, t).
   std::vector<VertexId> UnpackPath(VertexId s, VertexId t) const;
 
-  std::span<const LabelEntry> Lin(VertexId v) const { return in_labels_[v]; }
-  std::span<const LabelEntry> Lout(VertexId v) const { return out_labels_[v]; }
-
   // --- Sealed flat store ----------------------------------------------------
-  // Build/Deserialize/FromParts construct into the nested vectors above (the
-  // mutable source of truth, which serialization also reads) and then seal a
-  // flat CSR/SoA read view; the incremental repairs (OnEdgeDecreased /
-  // OnEdgeIncreased / OnEdgeRemoved) re-seal only the runs of vertices whose
-  // labels they changed. Queries and the NN machinery read the flat view
-  // exclusively. See DESIGN.md, "Label memory layout".
+  // The packed runs below are the only copy of the labels: queries, the NN
+  // machinery, serialization and the repairs all read them. Build and the
+  // incremental repairs (OnEdgeDecreased / OnEdgeIncreased / OnEdgeRemoved)
+  // write into transient per-vertex edit buffers — every vertex during a
+  // build, only the touched ones during a repair — and reseal exactly the
+  // runs whose buffers differ before returning; no buffer outlives the
+  // call. See DESIGN.md, "Label memory layout".
 
   /// Flat run of Lin(v) / Lout(v). Valid while the labeling is unchanged.
   LabelRun InRun(VertexId v) const { return flat_in_.Run(v); }
@@ -176,7 +175,7 @@ class HubLabeling {
   /// Bytes held by the sealed flat arrays (entries + sentinels + run table).
   uint64_t FlatBytes() const;
 
-  uint32_t num_vertices() const { return static_cast<uint32_t>(in_labels_.size()); }
+  uint32_t num_vertices() const { return static_cast<uint32_t>(order_.size()); }
   VertexId HubVertex(uint32_t rank) const { return order_[rank]; }
   uint32_t RankOf(VertexId v) const { return rank_[v]; }
 
@@ -255,20 +254,23 @@ class HubLabeling {
 
   void Serialize(std::ostream& out) const;
   /// Reads a snapshot, rejecting malformed input with std::runtime_error:
-  /// the order must be a permutation of [0, n), label vectors are bounded by
-  /// n entries and must be strictly rank-sorted with hub_rank < n and parent
-  /// < n (or kInvalidVertex). serve --indexes feeds this untrusted files, so
-  /// no field is trusted before it is range-checked. Callers that know the
-  /// graph (LoadIndexes) pass `expected_vertices` so an absurd claimed
-  /// vertex count is rejected before the O(n) allocations, not after
-  /// (0 = accept any count).
+  /// the order must be a permutation of [0, n), label runs are bounded by n
+  /// entries and must be strictly rank-sorted with hub_rank < n and parent
+  /// < n (or kInvalidVertex), and every parent chain must strictly decrease
+  /// toward its hub's self-entry. serve --indexes feeds this untrusted
+  /// files, so no field is trusted before it is range-checked. Callers that
+  /// know the graph (LoadIndexes) pass `expected_vertices` so an absurd
+  /// claimed vertex count is rejected before the O(n) allocations, not
+  /// after (0 = accept any count).
   static HubLabeling Deserialize(std::istream& in,
                                  uint32_t expected_vertices = 0);
 
-  /// Assembles a (possibly partial) labeling from raw parts. Vertices whose
-  /// label vectors are empty simply answer "unreachable"; the disk-resident
-  /// store uses this to materialize exactly the per-query working set.
-  /// Applies the same validation as Deserialize (std::runtime_error).
+  /// Assembles a (possibly partial) labeling from raw parts, sealing each
+  /// vector into its run. Vertices whose label vectors are empty simply
+  /// answer "unreachable"; the disk-resident store uses this to materialize
+  /// exactly the per-query working set. Applies Deserialize's per-run
+  /// validation (std::runtime_error) but not its parent-chain check, which a
+  /// partial working set cannot satisfy.
   static HubLabeling FromParts(std::vector<VertexId> order,
                                std::vector<std::vector<LabelEntry>> in_labels,
                                std::vector<std::vector<LabelEntry>> out_labels);
@@ -276,7 +278,8 @@ class HubLabeling {
  private:
   struct SearchContext;    // Per-thread pruned-Dijkstra scratch.
   struct CandidateLabel;   // (vertex, dist, parent) produced by a search.
-  struct RepairTracker;    // First-touch pre-repair label snapshots.
+  struct EditSide;         // Transient per-vertex edit buffers of one side.
+  struct LabelEdits;       // Both sides' edit buffers.
 
   /// One direction of the sealed flat store. Runs live back to back in the
   /// hot `key` array (packed rank|dist, each run terminated by a
@@ -286,7 +289,7 @@ class HubLabeling {
   /// that every empty run points at — a disk-store working set is almost
   /// entirely empty runs. A re-sealed run that outgrew its slot is
   /// appended at the tail and the old slots become garbage until the next
-  /// full seal.
+  /// compaction.
   struct FlatSide {
     /// Per-vertex run locator, fused so one cache-line touch yields both
     /// fields (start and len in separate arrays cost a second scattered
@@ -300,41 +303,57 @@ class HubLabeling {
     std::vector<VertexId> parent;
     uint64_t garbage = 0;  ///< Abandoned slots (entries + sentinels).
 
-    void Seal(const std::vector<std::vector<LabelEntry>>& labels);
-    void ResealRun(VertexId v, const std::vector<LabelEntry>& labels);
+    /// `n` empty runs, all pointing at the shared sentinel block.
+    void Reset(uint32_t n);
+    void ResealRun(VertexId v, std::span<const LabelEntry> labels);
+    /// Re-packs the live runs back to back in vertex order, dropping the
+    /// garbage slots.
+    void Compact();
     LabelRun Run(VertexId v) const {
       const RunRef& r = runs[v];
       return {key.data() + r.start, parent.data() + r.start, r.len};
     }
+    uint64_t Entries() const;
     uint64_t Bytes() const;
   };
 
-  /// (Re)builds both flat sides from the nested vectors.
-  void Seal();
   /// Query fallback for lopsided run sizes (binary-search intersection of
   /// the shorter run in the longer). Records the witnessing hub rank of
   /// the best match in `best_rank` (untouched if unreachable).
   Cost QueryGallop(const LabelRun& a, const LabelRun& b,
                    uint32_t& best_rank) const;
-  /// Re-seals the runs of the given vertices (duplicates fine); falls back
-  /// to a full seal of that side once garbage crosses the compaction bound.
-  static void ResealTouched(FlatSide& side,
-                            const std::vector<std::vector<LabelEntry>>& labels,
-                            std::vector<VertexId>& touched);
+  /// Reseals every run whose open edit buffer differs from it, in vertex
+  /// order, dropping each buffer once sealed, then compacts the side once
+  /// garbage crosses the bound. Returns the resealed vertices (ascending);
+  /// `old_keys`, if given, receives a copy of each one's pre-edit packed
+  /// keys.
+  static std::vector<VertexId> SealEdits(
+      FlatSide& side, EditSide& edits,
+      std::vector<std::vector<uint64_t>>* old_keys);
 
-  // Runs one pruned Dijkstra from hub of rank `rank` in the given direction.
-  // `seeds` is {(hub, 0)} during construction and re-searches, or resumed
-  // frontiers during incremental decrease updates. With `candidates` null
-  // the surviving labels are committed directly (sequential/update mode,
-  // mutates labels; `tracker`, if given, snapshots every label vector just
-  // before its first mutation so the repair can report exactly what
-  // changed); otherwise the search is read-only and appends candidates for
-  // a later commit.
+  // Rank-batched parallel construction into `edits` (see Build).
+  void BuildBatched(const Graph& graph, uint32_t num_threads,
+                    LabelEdits& edits);
+
+  // Loads the hub of `rank`'s opposite-side labels below `rank` into
+  // ctx.scratch, the dense table the prune tests read.
+  void LoadHubScratch(uint32_t rank, bool forward, const LabelEdits& edits,
+                      SearchContext& ctx) const;
+
+  // The distance hubs of rank < `rank` certify between the hub of `rank`
+  // and x (hub -> x when forward), given LoadHubScratch's table.
+  Cost Covered(uint32_t rank, bool forward, VertexId x,
+               const LabelEdits& edits, const SearchContext& ctx) const;
+
+  // Runs one pruned Dijkstra from the hub of rank `rank` in the given
+  // direction, pruning against `edits` where a vertex has an open buffer
+  // and the sealed runs everywhere else. With `candidates` null the
+  // surviving labels are written into the edit buffers (sequential build
+  // and repair); otherwise the search is read-only and appends candidates
+  // for a later commit.
   void PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
-                    const std::vector<std::pair<VertexId, Cost>>& seeds,
-                    SearchContext& ctx,
-                    std::vector<CandidateLabel>* candidates,
-                    RepairTracker* tracker = nullptr);
+                    SearchContext& ctx, LabelEdits& edits,
+                    std::vector<CandidateLabel>* candidates) const;
 
   // Shared canonical repair for every edge-update kind. `tight_old` is the
   // pre-update minimum u->v weight (absent for an insertion), `tight_new`
@@ -345,19 +364,13 @@ class HubLabeling {
                                     std::optional<Cost> tight_old,
                                     std::optional<Cost> tight_new);
 
-  // Diffs the tracker's pre-repair snapshots against the current vectors,
-  // re-seals exactly the changed flat runs, and assembles the delta.
-  LabelRepairDelta FinishRepair(RepairTracker& tracker);
-
   // Commit phase of the rank-batched parallel build: re-checks every
   // candidate of `rank` against the labels committed so far (which now
   // include same-batch ranks < rank) and merges the survivors.
   void CommitCandidates(uint32_t rank, bool forward,
                         const std::vector<CandidateLabel>& candidates,
-                        SearchContext& ctx);
+                        SearchContext& ctx, LabelEdits& edits) const;
 
-  std::vector<std::vector<LabelEntry>> in_labels_;
-  std::vector<std::vector<LabelEntry>> out_labels_;
   FlatSide flat_in_;
   FlatSide flat_out_;
   std::vector<VertexId> order_;

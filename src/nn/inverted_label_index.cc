@@ -65,25 +65,26 @@ void InvertedLabelIndex::RemoveMember(const HubLabeling& labeling, VertexId v) {
 }
 
 void InvertedLabelIndex::UpdateMember(VertexId v,
-                                      std::span<const LabelEntry> old_lin,
-                                      std::span<const LabelEntry> new_lin) {
-  // Lockstep merge over the rank-sorted vectors: a rank only in the old Lin
+                                      std::span<const uint64_t> old_lin,
+                                      std::span<const uint64_t> new_lin) {
+  // Lockstep merge over the rank-sorted keys: a rank only in the old Lin
   // lost its entry, one only in the new Lin gained one, and a rank in both
-  // moves its entry only if the distance changed.
+  // moves its entry only if the distance (the key's low half) changed.
+  auto rank = [](uint64_t key) { return static_cast<uint32_t>(key >> 32); };
+  auto dist = [](uint64_t key) { return static_cast<uint32_t>(key); };
   size_t i = 0, j = 0;
   while (i < old_lin.size() || j < new_lin.size()) {
     if (j == new_lin.size() ||
-        (i < old_lin.size() && old_lin[i].hub_rank < new_lin[j].hub_rank)) {
-      RemoveEntry(old_lin[i].hub_rank, v, old_lin[i].dist);
+        (i < old_lin.size() && rank(old_lin[i]) < rank(new_lin[j]))) {
+      RemoveEntry(rank(old_lin[i]), v, dist(old_lin[i]));
       ++i;
-    } else if (i == old_lin.size() ||
-               new_lin[j].hub_rank < old_lin[i].hub_rank) {
-      InsertEntry(new_lin[j].hub_rank, v, new_lin[j].dist);
+    } else if (i == old_lin.size() || rank(new_lin[j]) < rank(old_lin[i])) {
+      InsertEntry(rank(new_lin[j]), v, dist(new_lin[j]));
       ++j;
     } else {
-      if (old_lin[i].dist != new_lin[j].dist) {
-        RemoveEntry(old_lin[i].hub_rank, v, old_lin[i].dist);
-        InsertEntry(new_lin[j].hub_rank, v, new_lin[j].dist);
+      if (old_lin[i] != new_lin[j]) {
+        RemoveEntry(rank(old_lin[i]), v, dist(old_lin[i]));
+        InsertEntry(rank(new_lin[j]), v, dist(new_lin[j]));
       }
       ++i;
       ++j;

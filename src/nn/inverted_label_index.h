@@ -51,15 +51,15 @@ class InvertedLabelIndex {
   /// Dynamic category update: vertex `v` left the category.
   void RemoveMember(const HubLabeling& labeling, VertexId v);
 
-  /// Dynamic *label* update (Sec. IV-C): member `v`'s Lin changed from
-  /// `old_lin` to `new_lin` (both rank-sorted) after an incremental edge
-  /// repair. Walks the two vectors in lockstep and patches only the lists
-  /// of hubs whose entry for `v` appeared, vanished, or moved — the result
-  /// is identical to a from-scratch Build over the same members (asserted
-  /// in dynamic_update_test). O((|old| + |new|) log |Ci|), independent of
-  /// how many categories exist.
-  void UpdateMember(VertexId v, std::span<const LabelEntry> old_lin,
-                    std::span<const LabelEntry> new_lin);
+  /// Dynamic *label* update (Sec. IV-C): member `v`'s Lin run changed from
+  /// `old_lin` to `new_lin` (packed PackLabelKey keys, rank-sorted) after an
+  /// incremental edge repair. Walks the two runs in lockstep and patches
+  /// only the lists of hubs whose entry for `v` appeared, vanished, or
+  /// moved — the result is identical to a from-scratch Build over the same
+  /// members (asserted in dynamic_update_test). O((|old| + |new|) log |Ci|),
+  /// independent of how many categories exist.
+  void UpdateMember(VertexId v, std::span<const uint64_t> old_lin,
+                    std::span<const uint64_t> new_lin);
 
   uint64_t num_lists() const { return lists_.size(); }
   uint64_t total_entries() const;

@@ -78,15 +78,13 @@ TEST_F(CliTest, GenerateStatsBuildQueryPipeline) {
       << out_.str();
   EXPECT_NE(out_.str().find("vertices: 144"), std::string::npos);
 
-  // build-index with dissection order + compressed output
+  // build-index with dissection order
   ASSERT_EQ(Run({"build-index", "--graph", Path("g.gr"), "--categories",
                  Path("c.txt"), "--order", "dissection", "--rows", "12",
-                 "--cols", "12", "--out", Path("store"), "--compressed-out",
-                 Path("labels.zbin")}),
+                 "--cols", "12", "--out", Path("store")}),
             0)
       << out_.str();
   EXPECT_TRUE(std::filesystem::exists(Path("store") + "/meta.bin"));
-  EXPECT_TRUE(std::filesystem::exists(Path("labels.zbin")));
 
   // query
   ASSERT_EQ(Run({"query", "--graph", Path("g.gr"), "--categories",

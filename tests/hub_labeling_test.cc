@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
+#include "src/durability/crc32c.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "tests/test_util.h"
@@ -174,24 +176,7 @@ TEST(HubLabelingTest, OnEdgeDecreasedRepairsDistances) {
 
 // Byte-for-byte equality of every label entry (rank, dist, parent) — the
 // parallel build's contract is identical output, not merely equal distances.
-void ExpectIdenticalLabels(const HubLabeling& a, const HubLabeling& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  for (uint32_t r = 0; r < a.num_vertices(); ++r) {
-    ASSERT_EQ(a.HubVertex(r), b.HubVertex(r)) << "rank " << r;
-  }
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    auto ain = a.Lin(v), bin = b.Lin(v);
-    ASSERT_EQ(ain.size(), bin.size()) << "Lin(" << v << ")";
-    for (size_t i = 0; i < ain.size(); ++i) {
-      ASSERT_EQ(ain[i], bin[i]) << "Lin(" << v << ")[" << i << "]";
-    }
-    auto aout = a.Lout(v), bout = b.Lout(v);
-    ASSERT_EQ(aout.size(), bout.size()) << "Lout(" << v << ")";
-    for (size_t i = 0; i < aout.size(); ++i) {
-      ASSERT_EQ(aout[i], bout[i]) << "Lout(" << v << ")[" << i << "]";
-    }
-  }
-}
+using testing::ExpectSameLabels;
 
 TEST(HubLabelingTest, ParallelBuildIsByteIdenticalToSequential) {
   std::vector<Graph> graphs;
@@ -205,7 +190,7 @@ TEST(HubLabelingTest, ParallelBuildIsByteIdenticalToSequential) {
     for (uint32_t threads : {2u, 3u, 8u, testing::TestThreads()}) {
       HubLabeling parallel;
       parallel.Build(g, threads);
-      ExpectIdenticalLabels(sequential, parallel);
+      ExpectSameLabels(sequential, parallel);
     }
   }
 }
@@ -220,7 +205,7 @@ TEST(HubLabelingTest, ParallelBuildCustomOrderMatchesAndIsCorrect) {
   sequential.Build(g, order, /*num_threads=*/1);
   HubLabeling parallel;
   parallel.Build(g, order, testing::TestThreads());
-  ExpectIdenticalLabels(sequential, parallel);
+  ExpectSameLabels(sequential, parallel);
   ExpectAllPairsMatch(g, parallel);
 }
 
@@ -406,7 +391,7 @@ TEST(HubLabelingTest, SerializeRoundTripSurvivesValidation) {
   std::stringstream buffer;
   hl.Serialize(buffer);
   HubLabeling copy = HubLabeling::Deserialize(buffer);
-  ExpectIdenticalLabels(hl, copy);
+  ExpectSameLabels(hl, copy);
 }
 
 TEST(HubLabelingTest, FromPartsRejectsMalformedInput) {
@@ -435,11 +420,179 @@ TEST(HubLabelingTest, FromPartsPartialAnswersLoadedPairs) {
   for (uint32_t r = 0; r < 30; ++r) order.push_back(full.HubVertex(r));
   std::vector<std::vector<LabelEntry>> in(30), out(30);
   // Load only vertex 5's out-label and vertex 9's in-label.
-  out[5].assign(full.Lout(5).begin(), full.Lout(5).end());
-  in[9].assign(full.Lin(9).begin(), full.Lin(9).end());
+  out[5] = testing::RunEntries(full.OutRun(5));
+  in[9] = testing::RunEntries(full.InRun(9));
   HubLabeling partial = HubLabeling::FromParts(order, in, out);
   EXPECT_EQ(partial.Query(5, 9), full.Query(5, 9));
   EXPECT_EQ(partial.Query(9, 5), kInfCost);  // not loaded
+}
+
+// --- Snapshot format golden bytes --------------------------------------------
+
+// Size and CRC32C of the Serialize bytes of a 1-thread degree-order Build
+// (and, since the parallel build is byte-identical, of every thread count).
+// These pin the snapshot format — checkpoints, `--indexes` files and disk
+// stores written by one version must load in the next — independently of
+// how the labels are held in memory.
+std::pair<size_t, uint32_t> SnapshotFingerprint(const Graph& g,
+                                                uint32_t threads) {
+  HubLabeling hl;
+  hl.Build(g, threads);
+  std::ostringstream out;
+  hl.Serialize(out);
+  std::string bytes = out.str();
+  return {bytes.size(), durability::Crc32c(bytes.data(), bytes.size())};
+}
+
+// A directed 7x9 grid whose weights come from integer arithmetic alone, so
+// the graph (unlike MakeGridRoadNetwork's std::uniform_int_distribution
+// draws) is the same under every standard library.
+Graph ArithmeticGrid() {
+  constexpr uint32_t kRows = 7, kCols = 9;
+  std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
+  auto id = [](uint32_t r, uint32_t c) { return r * kCols + c; };
+  for (uint32_t r = 0; r < kRows; ++r) {
+    for (uint32_t c = 0; c < kCols; ++c) {
+      VertexId v = id(r, c);
+      if (c + 1 < kCols) {
+        edges.emplace_back(v, id(r, c + 1), 1 + (3 * r + 5 * c) % 7);
+        edges.emplace_back(id(r, c + 1), v, 1 + (7 * r + 2 * c) % 5);
+      }
+      if (r + 1 < kRows) {
+        edges.emplace_back(v, id(r + 1, c), 2 + (r * c + 4) % 6);
+        edges.emplace_back(id(r + 1, c), v, 1 + (5 * r + 3 * c + 1) % 8);
+      }
+    }
+  }
+  return Graph::FromEdges(kRows * kCols, edges);
+}
+
+TEST(HubLabelingTest, SnapshotGoldenBytes) {
+  for (uint32_t threads : {1u, 4u}) {
+    auto figure1 = SnapshotFingerprint(MakeFigure1().graph, threads);
+    EXPECT_EQ(figure1.first, 772u) << "threads=" << threads;
+    EXPECT_EQ(figure1.second, 0x80f6126eu) << "threads=" << threads;
+    auto grid = SnapshotFingerprint(ArithmeticGrid(), threads);
+    EXPECT_EQ(grid.first, 25272u) << "threads=" << threads;
+    EXPECT_EQ(grid.second, 0x14fa7c81u) << "threads=" << threads;
+  }
+}
+
+// --- Seeded mutation of snapshot input ---------------------------------------
+
+// Everything a loaded labeling can be asked: every pair's Query and
+// UnpackPath. Under ASan/UBSan an out-of-bounds read fails the test by
+// itself; the path checks catch a walk that leaves the vertex range or
+// outgrows a simple path.
+void ExpectAllPairsInBounds(const HubLabeling& hl) {
+  uint32_t n = hl.num_vertices();
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) {
+      hl.Query(s, t);
+      std::vector<VertexId> path = hl.UnpackPath(s, t);
+      ASSERT_LE(path.size(), 2 * static_cast<size_t>(n)) << s << "->" << t;
+      for (VertexId x : path) ASSERT_LT(x, n) << s << "->" << t;
+    }
+  }
+}
+
+// Flips, truncates and extends the bytes of a valid snapshot with a fixed
+// seed: each case must either be rejected with std::runtime_error or load
+// into a labeling that stays in bounds. This guards the per-run validation
+// (rank range, strict rank order, parent range) and the decreasing
+// parent-chain check.
+TEST(HubLabelingTest, MutatedSnapshotsThrowOrStayInBounds) {
+  Graph g = MakeGridRoadNetwork(4, 4, 3);
+  HubLabeling hl;
+  hl.Build(g);
+  std::ostringstream out;
+  hl.Serialize(out);
+  const std::string valid = out.str();
+  const uint32_t n = hl.num_vertices();
+  std::mt19937_64 rng(0x6b6f7372);
+  auto pos = [&](size_t size) { return static_cast<size_t>(rng() % size); };
+  uint32_t accepted = 0, rejected = 0;
+  for (uint32_t iter = 0; iter < 3000; ++iter) {
+    std::string bytes = valid;
+    switch (iter % 3) {
+      case 0:  // flip 1-4 bytes
+        for (uint64_t k = 1 + rng() % 4; k > 0; --k) {
+          bytes[pos(bytes.size())] ^= static_cast<char>(1 + rng() % 255);
+        }
+        break;
+      case 1:  // truncate
+        bytes.resize(pos(bytes.size()));
+        break;
+      default:  // extend: splice 1-16 random bytes in anywhere
+        std::string junk(1 + rng() % 16, '\0');
+        for (char& c : junk) c = static_cast<char>(rng());
+        bytes.insert(pos(bytes.size() + 1), junk);
+        break;
+    }
+    std::stringstream in(bytes);
+    std::optional<HubLabeling> loaded;
+    try {
+      // As LoadIndexes does: the graph fixes the vertex count.
+      loaded = HubLabeling::Deserialize(in, n);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_NO_FATAL_FAILURE(ExpectAllPairsInBounds(*loaded)) << "case " << iter;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// The same for FromParts, which skips the parent-chain check (a disk-store
+// working set lacks the chain links): random field overwrites, inserted and
+// deleted entries must throw or leave every query and unpack in bounds.
+TEST(HubLabelingTest, MutatedPartsThrowOrStayInBounds) {
+  Graph g = MakeGridRoadNetwork(4, 4, 3);
+  HubLabeling hl;
+  hl.Build(g);
+  const uint32_t n = hl.num_vertices();
+  std::vector<std::vector<LabelEntry>> in(n), out(n);
+  for (VertexId v = 0; v < n; ++v) {
+    in[v] = testing::RunEntries(hl.InRun(v));
+    out[v] = testing::RunEntries(hl.OutRun(v));
+  }
+  std::mt19937_64 rng(0x70617274);
+  auto value = [&]() -> uint32_t {
+    switch (rng() % 3) {
+      case 0: return static_cast<uint32_t>(rng() % (n + 2));
+      case 1: return kInvalidVertex;
+      default: return static_cast<uint32_t>(rng());
+    }
+  };
+  uint32_t accepted = 0, rejected = 0;
+  for (uint32_t iter = 0; iter < 3000; ++iter) {
+    auto mutated_in = in, mutated_out = out;
+    auto& labels = (rng() % 2 ? mutated_in : mutated_out)[rng() % n];
+    if (iter % 3 == 2 || labels.empty()) {
+      labels.insert(labels.begin() + rng() % (labels.size() + 1),
+                    LabelEntry{value(), value(), value()});
+    } else if (iter % 3 == 1) {
+      labels.erase(labels.begin() + rng() % labels.size());
+    } else {
+      LabelEntry& e = labels[rng() % labels.size()];
+      uint32_t* field[] = {&e.hub_rank, &e.dist, &e.parent};
+      *field[rng() % 3] = value();
+    }
+    std::optional<HubLabeling> loaded;
+    try {
+      loaded = HubLabeling::FromParts(testing::HubOrder(hl), mutated_in,
+                                      mutated_out);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_NO_FATAL_FAILURE(ExpectAllPairsInBounds(*loaded)) << "case " << iter;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

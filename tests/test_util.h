@@ -1,15 +1,19 @@
 #ifndef KOSR_TESTS_TEST_UTIL_H_
 #define KOSR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <sstream>
 #include <vector>
 
 #include "src/graph/categories.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/labeling/hub_labeling.h"
 #include "src/util/types.h"
 
 namespace kosr::testing {
@@ -42,6 +46,47 @@ inline TestInstance MakeRandomInstance(uint32_t n, uint64_t m,
   std::uniform_int_distribution<uint32_t> pick(0, num_categories - 1);
   for (VertexId v = 0; v < n; ++v) inst.categories.Add(v, pick(rng));
   return inst;
+}
+
+/// The entries of a sealed run, re-interleaved (e.g. to feed FromParts).
+inline std::vector<LabelEntry> RunEntries(const LabelRun& run) {
+  std::vector<LabelEntry> entries;
+  for (uint32_t i = 0; i < run.size; ++i) {
+    entries.push_back({run.RankAt(i), run.DistAt(i), run.parent[i]});
+  }
+  return entries;
+}
+
+/// The hub order of a labeling, rank by rank.
+inline std::vector<VertexId> HubOrder(const HubLabeling& hl) {
+  std::vector<VertexId> order(hl.num_vertices());
+  for (uint32_t r = 0; r < hl.num_vertices(); ++r) order[r] = hl.HubVertex(r);
+  return order;
+}
+
+/// Label equality at both levels the system relies on: every run matches
+/// entry for entry (rank, dist, parent) and ends in its sentinel, and the
+/// Serialize bytes are identical.
+inline void ExpectSameLabels(const HubLabeling& got, const HubLabeling& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(HubOrder(got), HubOrder(want));
+  for (VertexId v = 0; v < got.num_vertices(); ++v) {
+    for (bool in_side : {true, false}) {
+      LabelRun a = in_side ? got.InRun(v) : got.OutRun(v);
+      LabelRun b = in_side ? want.InRun(v) : want.OutRun(v);
+      const char* side = in_side ? "Lin(" : "Lout(";
+      ASSERT_EQ(a.size, b.size) << side << v << ")";
+      for (uint32_t i = 0; i < a.size; ++i) {
+        ASSERT_EQ(a.key[i], b.key[i]) << side << v << ")[" << i << "]";
+        ASSERT_EQ(a.parent[i], b.parent[i]) << side << v << ")[" << i << "]";
+      }
+      ASSERT_EQ(a.key[a.size], kSentinelKey) << side << v << ")";
+    }
+  }
+  std::ostringstream got_bytes, want_bytes;
+  got.Serialize(got_bytes);
+  want.Serialize(want_bytes);
+  ASSERT_EQ(got_bytes.str(), want_bytes.str());
 }
 
 /// All-pairs distances by repeated Dijkstra (test-sized graphs only).
