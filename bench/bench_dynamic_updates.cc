@@ -75,8 +75,9 @@ struct ScenarioResult {
   uint64_t label_vectors_changed = 0;
   uint32_t empty_repairs = 0;  ///< Updates whose repair was certified empty.
   uint32_t applied = 0;
-  /// Engine counter delta across the scenario (repair tightness tests,
-  /// phase-3 re-searches, relaxations) — the work behind the latencies.
+  /// Engine counter delta across the scenario (worklist pairs examined,
+  /// re-searches, unchanged re-searches, relaxations) — the work behind
+  /// the latencies.
   obs::EngineCounters counters;
 };
 
@@ -191,6 +192,7 @@ int Run(int argc, char** argv) {
         "\"avg_label_vectors_repaired\": %.2f, \"empty_repair_fraction\": "
         "%.3f, \"speedup_vs_rebuild\": %.1f, "
         "\"repair_tightness_tests\": %llu, \"repair_researches\": %llu, "
+        "\"repair_unchanged_researches\": %llu, "
         "\"pruned_relaxations\": %llu}%s\n",
         r.name.c_str(), r.applied, mean_ms, r.latency.P50Millis(),
         r.latency.P95Millis(), r.latency.P99Millis(),
@@ -204,6 +206,8 @@ int Run(int argc, char** argv) {
             r.counters.Get(obs::Counter::kRepairTightnessTests)),
         static_cast<unsigned long long>(
             r.counters.Get(obs::Counter::kRepairResearches)),
+        static_cast<unsigned long long>(
+            r.counters.Get(obs::Counter::kRepairUnchangedResearches)),
         static_cast<unsigned long long>(
             r.counters.Get(obs::Counter::kPrunedRelaxations)),
         i + 1 < results.size() ? "," : "");

@@ -357,6 +357,7 @@ int CmdServe(const Args& args, std::istream& in, std::ostream& out) {
     attachment.replayed_records = recovered.stats.replayed_records;
     attachment.recovery_s =
         recovered.stats.checkpoint_load_s + recovered.stats.replay_s;
+    attachment.replay_counters = recovered.stats.replay_counters;
   } else {
     engine = make_engine();
   }

@@ -112,9 +112,9 @@ class KosrEngine {
 
   /// Graph update: sets the u->v weight to exactly `w` — decrease, insert,
   /// or *increase* — and incrementally repairs the labeling either way
-  /// (resumed searches for a decrease; affected-hub re-searches for an
-  /// increase, byte-identical to a from-scratch rebuild with the same hub
-  /// order — see DESIGN.md, "Dynamic updates"). Inverted indexes are
+  /// (re-running only the hub searches that can diverge, byte-identical to
+  /// a from-scratch rebuild with the same hub order — see DESIGN.md,
+  /// "Dynamic updates"). Inverted indexes are
   /// patched incrementally from the repair delta. Setting the current
   /// weight again is a no-op. Throws std::invalid_argument for
   /// out-of-range endpoints; self loops are dropped.
@@ -129,8 +129,8 @@ class KosrEngine {
   /// (ISSUE 8): every graph mutation is applied first (recording each
   /// arc's pre-batch weight on first touch), per-arc updates coalesce to
   /// their net effect (arcs that end where they started repair nothing),
-  /// and the surviving net changes run one batched affected-hub repair —
-  /// the union of the per-update affected sets, each hub re-searched once.
+  /// and the surviving net changes run one batched repair over all of
+  /// them, each hub re-searched at most once.
   /// The resulting labels are byte-identical to applying the updates one
   /// at a time (and to a from-scratch rebuild). The summary's
   /// graph_changed reports whether any mutation touched the graph object;

@@ -49,6 +49,7 @@ RecoveredState Recover(
   state.stats.checkpoint_load_s = SecondsSince(start);
 
   start = std::chrono::steady_clock::now();
+  const obs::EngineCounters counters_before = obs::TlsCounters();
   const std::string journal_path = UpdateJournal::PathFor(options.dir);
   JournalScan scan = UpdateJournal::Scan(journal_path);  // throws on
                                                          // corruption
@@ -99,6 +100,8 @@ RecoveredState Recover(
   }
   flush_pending();
   state.stats.replay_s = SecondsSince(start);
+  state.stats.replay_counters =
+      obs::Diff(obs::TlsCounters(), counters_before);
 
   // Opening the journal truncates the torn tail (if any) on disk and
   // continues sequence numbers after everything replayed.

@@ -8,6 +8,7 @@
 
 #include "src/core/engine.h"
 #include "src/durability/journal.h"
+#include "src/obs/counters.h"
 
 namespace kosr::durability {
 
@@ -28,6 +29,8 @@ struct RecoveryStats {
   bool tail_truncated = false;
   double checkpoint_load_s = 0;
   double replay_s = 0;
+  /// Engine counters the replay bumped on the calling thread.
+  obs::EngineCounters replay_counters;
 };
 
 struct RecoveredState {

@@ -20,21 +20,43 @@
 namespace kosr {
 namespace {
 
+// First entry of a rank-sorted buffer with hub rank >= `rank`.
+std::vector<LabelEntry>::iterator RankLowerBound(
+    std::vector<LabelEntry>& labels, uint32_t rank) {
+  return std::lower_bound(labels.begin(), labels.end(), rank,
+                          [](const LabelEntry& e, uint32_t r) {
+                            return e.hub_rank < r;
+                          });
+}
+
 // Inserts or updates an entry, keeping the buffer sorted by rank.
 void InsertOrUpdate(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
   if (labels.empty() || labels.back().hub_rank < entry.hub_rank) {
     labels.push_back(entry);
     return;
   }
-  auto it = std::lower_bound(labels.begin(), labels.end(), entry.hub_rank,
-                             [](const LabelEntry& e, uint32_t r) {
-                               return e.hub_rank < r;
-                             });
+  auto it = RankLowerBound(labels, entry.hub_rank);
   if (it != labels.end() && it->hub_rank == entry.hub_rank) {
     if (entry.dist < it->dist) *it = entry;
     return;
   }
   labels.insert(it, entry);
+}
+
+// Sets the buffer's entry for entry.hub_rank, replacing any existing one.
+void PutEntry(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
+  auto it = RankLowerBound(labels, entry.hub_rank);
+  if (it != labels.end() && it->hub_rank == entry.hub_rank) {
+    *it = entry;
+  } else {
+    labels.insert(it, entry);
+  }
+}
+
+// Drops the buffer's entry for `rank`, if it has one.
+void EraseEntry(std::vector<LabelEntry>& labels, uint32_t rank) {
+  auto it = RankLowerBound(labels, rank);
+  if (it != labels.end() && it->hub_rank == rank) labels.erase(it);
 }
 
 // Whether an edit buffer holds exactly the entries of a sealed run.
@@ -135,7 +157,7 @@ struct HubLabeling::SearchContext {
   std::vector<Cost> dist;
   std::vector<VertexId> parent;
   std::vector<VertexId> touched;
-  IndexedMinHeap heap;
+  PackedMinHeap heap;
   std::vector<Cost> scratch;
   std::vector<uint32_t> scratch_touched;
 
@@ -144,6 +166,12 @@ struct HubLabeling::SearchContext {
         parent(n, kInvalidVertex),
         heap(n),
         scratch(n, kInfCost) {}
+
+  // Empties the table LoadHubScratch filled.
+  void ClearScratch() {
+    for (uint32_t r : scratch_touched) scratch[r] = kInfCost;
+    scratch_touched.clear();
+  }
 };
 
 void HubLabeling::FlatSide::Reset(uint32_t n) {
@@ -329,6 +357,7 @@ void HubLabeling::Build(const Graph& graph, const std::vector<VertexId>& order,
   // on each vertex's first entry, and seals them once at the end.
   flat_in_.Reset(n);
   flat_out_.Reset(n);
+  for (auto& counts : hub_entries_) counts.clear();
   LabelEdits edits(n);
 
   num_threads = ResolveThreadCount(num_threads);
@@ -520,8 +549,7 @@ void HubLabeling::PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
   }
   touched.clear();
   heap.Clear();
-  for (uint32_t r : ctx.scratch_touched) ctx.scratch[r] = kInfCost;
-  ctx.scratch_touched.clear();
+  ctx.ClearScratch();
 }
 
 void HubLabeling::CommitCandidates(
@@ -539,8 +567,7 @@ void HubLabeling::CommitCandidates(
         edits.Side(forward).Open(c.vertex, forward ? flat_in_ : flat_out_),
         {rank, c.dist, c.parent});
   }
-  for (uint32_t r : ctx.scratch_touched) ctx.scratch[r] = kInfCost;
-  ctx.scratch_touched.clear();
+  ctx.ClearScratch();
 }
 
 namespace {
@@ -646,22 +673,13 @@ std::vector<VertexId> HubLabeling::UnpackPath(VertexId s, VertexId t) const {
 
 LabelRepairDelta HubLabeling::OnEdgeDecreased(const Graph& graph, VertexId u,
                                               VertexId v, Weight w) {
-  // Short-circuit: if some existing route already beats the new weight
-  // strictly, the arc lies on no shortest path (old or new) and no label
-  // can change — one label query instead of the affected-hub sweep. An
-  // equal-cost route does NOT qualify: the new arc then ties onto shortest
-  // paths and can re-tie canonical parents and cover paths.
-  if (Query(u, v) < static_cast<Cost>(w)) return {};
   return RepairEdgeUpdate(graph, u, v, std::nullopt, static_cast<Cost>(w));
 }
 
 LabelRepairDelta HubLabeling::OnEdgeIncreased(const Graph& graph, VertexId u,
                                               VertexId v, Weight old_weight) {
-  // Mirror short-circuit: if another route already beat the *old* weight
-  // strictly, the arc was on no shortest path and raising it further
-  // changes nothing. Only the old-graph tightness test applies — the
-  // raised arc cannot join a shortest path it was not already on.
-  if (Query(u, v) < static_cast<Cost>(old_weight)) return {};
+  // Only the old-graph tightness test applies: the raised arc cannot join
+  // a shortest path it was not already on.
   return RepairEdgeUpdate(graph, u, v, static_cast<Cost>(old_weight),
                           std::nullopt);
 }
@@ -671,7 +689,6 @@ LabelRepairDelta HubLabeling::OnEdgeRemoved(const Graph& graph, VertexId u,
   // A deletion is a weight increase to infinity: only the old-graph
   // tightness test applies, and the re-run searches simply no longer see
   // the arc.
-  if (Query(u, v) < static_cast<Cost>(old_weight)) return {};
   return RepairEdgeUpdate(graph, u, v, static_cast<Cost>(old_weight),
                           std::nullopt);
 }
@@ -684,17 +701,348 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdate(const Graph& graph, VertexId u,
   return RepairEdgeUpdates(graph, {&request, 1});
 }
 
+// One batched repair: the rank-ordered worklist of (rank, direction) slots
+// whose pruned search may diverge from its pre-batch run, and the per-hub
+// diff that feeds it (DESIGN.md, "Dynamic updates"). Slot 2r is rank r's
+// forward search and 2r + 1 its backward one, so ascending slot order is
+// the order the build commits in. The sealed runs stay the pre-batch
+// labels until Run() reseals at the end; every edit in between lands in
+// edit buffers, opened only for vertices whose entries actually change.
+class HubLabeling::Repair {
+ public:
+  Repair(HubLabeling& hl, const Graph& graph,
+         std::vector<const EdgeRepairRequest*> active)
+      : hl_(hl),
+        graph_(graph),
+        active_(std::move(active)),
+        edits_(hl.num_vertices()),
+        ctx_(hl.num_vertices()),
+        queued_(2 * size_t{hl.num_vertices()}, 0),
+        forced_(2 * size_t{hl.num_vertices()}, 0),
+        check_head_(2 * size_t{hl.num_vertices()}, kNone),
+        check_stamp_(hl.num_vertices(), kNoSlot),
+        new_stamp_(hl.num_vertices(), kNoSlot),
+        walk_stamp_(hl.num_vertices(), kNoSlot) {
+    for (auto& side : enumerated_) side.assign(hl.num_vertices(), 0);
+    for (auto& side : cursor_) side.assign(hl.num_vertices(), 0);
+  }
+
+  LabelRepairDelta Run() {
+    for (const EdgeRepairRequest* request : active_) {
+      // Rule (a): a forward search relaxes (u, v) only from an unpruned u,
+      // i.e. only if its hub labels u; a backward search only if its hub
+      // labels v.
+      for (const uint64_t* k = hl_.flat_in_.Run(request->u).key;
+           *k != kSentinelKey; ++k) {
+        Force(Slot(static_cast<uint32_t>(*k >> 32), /*forward=*/true));
+      }
+      for (const uint64_t* k = hl_.flat_out_.Run(request->v).key;
+           *k != kSentinelKey; ++k) {
+        Force(Slot(static_cast<uint32_t>(*k >> 32), /*forward=*/false));
+      }
+      if (graph_.ArcWeight(request->u, request->v) == kInfCost) {
+        removed_out_.emplace_back(request->u, request->v);
+        removed_in_.emplace_back(request->v, request->u);
+      }
+    }
+    std::sort(removed_out_.begin(), removed_out_.end());
+    std::sort(removed_in_.begin(), removed_in_.end());
+
+    uint64_t examined = 0, researches = 0, unchanged = 0;
+    while (!queue_.Empty()) {
+      const uint64_t slot = queue_.Top();
+      queue_.Pop();
+      const uint32_t rank = static_cast<uint32_t>(slot / 2);
+      const bool forward = slot % 2 == 0;
+      ++examined;
+      // A hub the batch leaves off every shortest path keeps its entries
+      // whatever its search would replay; otherwise re-search only if the
+      // replay can diverge.
+      if (!Tight(rank, forward)) continue;
+      if (!forced_[slot] && !PruneTestFlips(slot)) continue;
+      ++researches;
+      if (!ReSearch(slot)) ++unchanged;
+    }
+    KOSR_COUNT(kRepairTightnessTests, examined);
+    KOSR_COUNT(kRepairResearches, researches);
+    KOSR_COUNT(kRepairUnchangedResearches, unchanged);
+
+    LabelRepairDelta delta;
+    delta.changed_in = SealEdits(hl_.flat_in_, edits_.in, &delta.old_in);
+    delta.changed_out = SealEdits(hl_.flat_out_, edits_.out, nullptr);
+    for (auto [slot, entries] : recounts_) {
+      hl_.hub_entries_[slot % 2][slot / 2] = entries;
+    }
+    return delta;
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr uint64_t kNoSlot = UINT64_MAX;
+
+  static uint64_t Slot(uint32_t rank, bool forward) {
+    return 2 * uint64_t{rank} + (forward ? 0 : 1);
+  }
+
+  void Queue(uint64_t slot) {
+    if (queued_[slot]) return;
+    queued_[slot] = 1;
+    queue_.Push(slot);
+  }
+  // Rules (a) and (b): the search must run again.
+  void Force(uint64_t slot) {
+    forced_[slot] = 1;
+    Queue(slot);
+  }
+  // Rule (c): x's prune test in this search must be re-evaluated.
+  void Check(uint64_t slot, VertexId x) {
+    checks_.emplace_back(x, check_head_[slot]);
+    check_head_[slot] = static_cast<uint32_t>(checks_.size() - 1);
+    Queue(slot);
+  }
+
+  // The search side's sealed runs: the pre-batch labels a forward search
+  // writes (Lin) or a backward one (Lout).
+  const FlatSide& OldSide(bool forward) const {
+    return forward ? hl_.flat_in_ : hl_.flat_out_;
+  }
+
+  // The distance-tightness test on the pre-batch labels: some batched arc
+  // lies on, or ties with, a shortest path from the hub (forward; to it
+  // backward) in the old graph, or joins one in the new graph. A hub
+  // failing it has the same shortest-path structure before and after the
+  // batch, hence the same canonical entries. The hub's pre-batch run goes
+  // into the dense scratch table once, so each distance is one scan of a
+  // request endpoint's run.
+  bool Tight(uint32_t rank, bool forward) {
+    const FlatSide& hub_side = forward ? hl_.flat_out_ : hl_.flat_in_;
+    const FlatSide& end_side = forward ? hl_.flat_in_ : hl_.flat_out_;
+    for (const uint64_t* k = hub_side.Run(hl_.order_[rank]).key;
+         *k != kSentinelKey; ++k) {
+      ctx_.scratch[*k >> 32] = static_cast<uint32_t>(*k);
+      ctx_.scratch_touched.push_back(static_cast<uint32_t>(*k >> 32));
+    }
+    // dis(hub, x) forward, dis(x, hub) backward.
+    auto dis = [&](VertexId x) {
+      Cost best = kInfCost;
+      for (const uint64_t* k = end_side.Run(x).key; *k != kSentinelKey; ++k) {
+        Cost via = ctx_.scratch[*k >> 32];
+        if (via != kInfCost) {
+          best = std::min(best, via + static_cast<uint32_t>(*k));
+        }
+      }
+      return best;
+    };
+    bool tight = false;
+    for (const EdgeRepairRequest* request : active_) {
+      Cost near = dis(forward ? request->u : request->v);
+      if (near == kInfCost) continue;
+      Cost far = dis(forward ? request->v : request->u);
+      if ((request->tight_old && near + *request->tight_old == far) ||
+          (request->tight_new && near + *request->tight_new <= far)) {
+        tight = true;
+        break;
+      }
+    }
+    ctx_.ClearScratch();
+    return tight;
+  }
+
+  // Index of the first entry of rank >= `rank` in x's pre-batch run on the
+  // search side. A repair asks in ascending rank order per side (its slot
+  // order), so each lookup gallops forward from where the last one for x
+  // stopped: a batch that re-searches most hubs reads each run about once
+  // instead of binary-searching it for every entry.
+  uint32_t OldLowerBound(const LabelRun& run, VertexId x, uint32_t rank,
+                         bool forward) {
+    uint32_t& at = cursor_[forward ? 0 : 1][x];
+    uint32_t lo = at, hi = at, step = 1;
+    while (hi < run.size && run.RankAt(hi) < rank) {
+      lo = hi + 1;
+      hi += step;
+      step *= 2;
+    }
+    at = static_cast<uint32_t>(
+        std::lower_bound(run.key + lo, run.key + std::min(hi, run.size),
+                         PackLabelKey(rank, 0)) -
+        run.key);
+    return at;
+  }
+
+  // Index of x's pre-batch entry for `rank` on the search side, or the
+  // run's size if it has none.
+  uint32_t OldIndex(const LabelRun& run, VertexId x, uint32_t rank,
+                    bool forward) {
+    uint32_t i = OldLowerBound(run, x, rank, forward);
+    return i < run.size && run.RankAt(i) == rank ? i : run.size;
+  }
+
+  // The distance at which the pre-batch search of hub `rank` popped x, which
+  // carries no entry for it: its best relaxation from a labeled (unpruned)
+  // predecessor, or kInfCost if the search never reached x. Arcs from
+  // labeled predecessors are unchanged whenever this is asked (rule (a)
+  // did not fire), so the updated graph's arcs are the old ones.
+  Cost OldPopDistance(VertexId x, uint32_t rank, bool forward) {
+    Cost best = kInfCost;
+    for (const Arc& a : forward ? graph_.InArcs(x) : graph_.OutArcs(x)) {
+      LabelRun run = OldSide(forward).Run(a.head);
+      uint32_t i = OldIndex(run, a.head, rank, forward);
+      if (i < run.size) best = std::min(best, run.DistAt(i) + Cost{a.weight});
+    }
+    return best;
+  }
+
+  // Rule (c), run when (a) and (b) did not fire, so the hub's table and
+  // every arc its old search relaxed are unchanged: whether a vertex queued
+  // on this slot, one whose search-side run changed below the hub's rank,
+  // now gets the opposite prune decision at the distance the old search
+  // popped it at. If none does, the new search replays the old one.
+  bool PruneTestFlips(uint64_t slot) {
+    const uint32_t rank = static_cast<uint32_t>(slot / 2);
+    const bool forward = slot % 2 == 0;
+    const VertexId hub = hl_.order_[rank];
+    hl_.LoadHubScratch(rank, forward, edits_, ctx_);
+    bool flips = false;
+    for (uint32_t c = check_head_[slot]; c != kNone && !flips;
+         c = checks_[c].second) {
+      VertexId x = checks_[c].first;
+      if (check_stamp_[x] == slot) continue;
+      check_stamp_[x] = slot;
+      LabelRun run = OldSide(forward).Run(x);
+      uint32_t i = OldIndex(run, x, rank, forward);
+      const bool was_pruned = i == run.size;
+      Cost d = x == hub      ? 0
+               : was_pruned ? OldPopDistance(x, rank, forward)
+                            : run.DistAt(i);
+      if (d == kInfCost) continue;  // the old search never popped x
+      bool now_pruned = hl_.Covered(rank, forward, x, edits_, ctx_) <= d;
+      flips = now_pruned != was_pruned;
+    }
+    ctx_.ClearScratch();
+    return flips;
+  }
+
+  // Re-runs the hub's pruned search and writes exactly the entries that
+  // differ from its old ones. Returns whether any did.
+  bool ReSearch(uint64_t slot) {
+    const uint32_t rank = static_cast<uint32_t>(slot / 2);
+    const bool forward = slot % 2 == 0;
+    new_entries_.clear();
+    hl_.PrunedSearch(graph_, rank, forward, ctx_, edits_, &new_entries_);
+    const FlatSide& flat = OldSide(forward);
+    EditSide& side = edits_.Side(forward);
+    uint32_t kept = 0;  // new entries at vertices the hub labeled before
+    bool changed = false;
+    for (const CandidateLabel& c : new_entries_) {
+      new_stamp_[c.vertex] = slot;
+      LabelRun run = flat.Run(c.vertex);
+      uint32_t i = OldIndex(run, c.vertex, rank, forward);
+      bool moved = true;  // presence or distance changed, not just parent
+      if (i < run.size) {
+        ++kept;
+        if (run.DistAt(i) == c.dist && run.parent[i] == c.parent) continue;
+        moved = run.DistAt(i) != c.dist;
+      }
+      changed = true;
+      PutEntry(side.Open(c.vertex, flat), {rank, c.dist, c.parent});
+      if (moved) QueueDependents(c.vertex, rank, forward);
+    }
+    const bool vanished = kept != hl_.hub_entries_[forward ? 0 : 1][rank];
+    recounts_.emplace_back(slot, static_cast<uint32_t>(new_entries_.size()));
+    if (!vanished) return changed;
+    // Some old entries are gone. They sit on the hub's old parent tree,
+    // walked outward from the self-entry: an entry's parent holds an entry
+    // for the same hub and is one pre-batch arc nearer to it. The walk
+    // follows the updated graph's arcs plus the batch's deleted ones, which
+    // old parent links may still run along.
+    auto labeled_from = [&](VertexId x, VertexId from) {
+      if (walk_stamp_[x] == slot) return;
+      LabelRun run = flat.Run(x);
+      uint32_t i = OldIndex(run, x, rank, forward);
+      if (i == run.size || run.parent[i] != from) return;
+      walk_stamp_[x] = slot;
+      walk_.push_back(x);
+    };
+    walk_.clear();
+    labeled_from(hl_.order_[rank], kInvalidVertex);
+    const auto& removed = forward ? removed_out_ : removed_in_;
+    for (size_t k = 0; k < walk_.size(); ++k) {
+      VertexId x = walk_[k];
+      for (const Arc& a : forward ? graph_.OutArcs(x) : graph_.InArcs(x)) {
+        labeled_from(a.head, x);
+      }
+      for (auto it = std::lower_bound(removed.begin(), removed.end(),
+                                      std::make_pair(x, VertexId{0}));
+           it != removed.end() && it->first == x; ++it) {
+        labeled_from(it->second, x);
+      }
+      if (new_stamp_[x] == slot) continue;
+      EraseEntry(side.Open(x, flat), rank);
+      QueueDependents(x, rank, forward);
+    }
+    return true;
+  }
+
+  // x's entry for hub `rank` appeared, vanished or changed distance on the
+  // search side. Two kinds of larger-rank search read it: x's own search in
+  // the other direction loads it into its hub table (rule (b)), and every
+  // same-direction search that pops x prune-tests against it (rule (c)).
+  // The pre-batch search of hub h pops x iff h labels x or a predecessor
+  // of x on the search side (or h is x); enqueuing those hubs once, at
+  // x's first change, covers every later change at a larger rank.
+  void QueueDependents(VertexId x, uint32_t rank, bool forward) {
+    const uint32_t own = hl_.rank_[x];
+    if (own > rank) Force(Slot(own, !forward));
+    uint8_t& enumerated = enumerated_[forward ? 0 : 1][x];
+    if (enumerated) return;
+    enumerated = 1;
+    if (own > rank && !forced_[Slot(own, forward)]) Check(Slot(own, forward), x);
+    auto check_labelers = [&](VertexId y) {
+      LabelRun run = OldSide(forward).Run(y);
+      const uint64_t* k = run.key + OldLowerBound(run, y, rank, forward);
+      if ((*k >> 32) == rank) ++k;
+      for (; *k != kSentinelKey; ++k) {
+        const uint64_t slot = Slot(static_cast<uint32_t>(*k >> 32), forward);
+        if (!forced_[slot]) Check(slot, x);  // a forced slot runs anyway
+      }
+    };
+    check_labelers(x);
+    for (const Arc& a : forward ? graph_.InArcs(x) : graph_.OutArcs(x)) {
+      check_labelers(a.head);
+    }
+  }
+
+  HubLabeling& hl_;
+  const Graph& graph_;
+  const std::vector<const EdgeRepairRequest*> active_;
+  LabelEdits edits_;
+  SearchContext ctx_;
+  MinQueue<uint64_t> queue_;       // Slots with pending work, each once.
+  std::vector<uint8_t> queued_;    // By slot.
+  std::vector<uint8_t> forced_;    // By slot: rule (a) or (b) fired.
+  std::vector<uint32_t> check_head_;  // By slot: its rule-(c) list, or kNone.
+  std::vector<std::pair<VertexId, uint32_t>> checks_;  // (vertex, next).
+  std::vector<uint64_t> check_stamp_;  // By vertex: last slot that tested it.
+  std::vector<uint8_t> enumerated_[2];  // By vertex: Lin, Lout dependents queued.
+  std::vector<uint32_t> cursor_[2];  // By vertex: Lin, Lout OldLowerBound.
+  std::vector<uint64_t> new_stamp_;  // By vertex: last slot it got an entry in.
+  std::vector<uint64_t> walk_stamp_;  // By vertex: last slot that walked it.
+  std::vector<CandidateLabel> new_entries_;
+  std::vector<VertexId> walk_;  // Old parent tree, breadth first.
+  // (slot, entries) of every re-search, for hub_entries_ once sealed.
+  std::vector<std::pair<uint64_t, uint32_t>> recounts_;
+  // The batch's deleted arcs as (tail, head) and (head, tail) pairs.
+  std::vector<std::pair<VertexId, VertexId>> removed_out_;
+  std::vector<std::pair<VertexId, VertexId>> removed_in_;
+};
+
 LabelRepairDelta HubLabeling::RepairEdgeUpdates(
     const Graph& graph, std::span<const EdgeRepairRequest> requests) {
-  const uint32_t n = num_vertices();
-
   // Per-request short-circuit on the shared pre-batch labels: when an
-  // existing route strictly beats every engaged tight of a request,
-  // neither of its tightness tests can fire for any hub (dis(h, v) <=
-  // dis(h, u) + dis(u, v) < dis(h, u) + tight, so neither the equality
-  // nor the <= test is satisfiable) — skip the request without the
-  // affected-hub sweep. This is the batched form of the one-label-query
-  // short-circuit in OnEdgeDecreased / OnEdgeIncreased.
+  // existing route strictly beats every engaged tight of a request, its
+  // arc lies on no shortest path before or after the batch (dis(h, v) <=
+  // dis(h, u) + dis(u, v) < dis(h, u) + tight for every hub), so it can
+  // change no label — skip it with one label query.
   std::vector<const EdgeRepairRequest*> active;
   active.reserve(requests.size());
   for (const EdgeRepairRequest& request : requests) {
@@ -705,105 +1053,18 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
     active.push_back(&request);
   }
   if (active.empty()) return {};
-
-  // Phase 1 — affected hubs, read off the *pre-batch* labels (nothing has
-  // been mutated yet, so Query still answers pre-batch distances exactly).
-  //
-  // A hub's forward label set can change only if some batched arc lies on
-  // a shortest path from it in the old graph (dis(h, u) + w_old ==
-  // dis(h, v); its loss can change distances, uncover entries of
-  // larger-ranked hubs whose cover path crossed the arc, or untie
-  // canonical parents) or in the new graph (dis(h, u) + w_new <=
-  // dis(h, v); a strict improvement changes distances, an exact tie can
-  // newly cover entries away or re-tie parents). Backward mirror: the arc
-  // on a shortest path *to* the hub. The affected set of a batch is the
-  // union over its requests: any hub whose labels differ between the
-  // pre-batch and post-batch graphs owes that difference to at least one
-  // net-changed arc on an old or new shortest path, and that arc's test
-  // fires for it. DESIGN.md ("Dynamic updates" and "Snapshot
-  // publication") gives the exactness argument. Because the hub order is
-  // a permutation of all vertices, empty tight sets certify that no
-  // pair's distance (and no label entry) changed at all.
-  std::vector<uint32_t> fwd_ranks, bwd_ranks;
-  std::vector<bool> fwd_affected(n, false), bwd_affected(n, false);
-  for (uint32_t r = 0; r < n; ++r) {
-    VertexId h = order_[r];
-    for (const EdgeRepairRequest* request : active) {
-      if (!fwd_affected[r]) {
-        Cost hu = Query(h, request->u);
-        if (hu != kInfCost) {
-          Cost hv = Query(h, request->v);
-          if ((request->tight_old && hu + *request->tight_old == hv) ||
-              (request->tight_new && hu + *request->tight_new <= hv)) {
-            fwd_ranks.push_back(r);
-            fwd_affected[r] = true;
-          }
+  if (hub_entries_[0].size() != num_vertices()) {
+    for (int in_side : {0, 1}) {
+      const FlatSide& flat = in_side == 0 ? flat_in_ : flat_out_;
+      hub_entries_[in_side].assign(num_vertices(), 0);
+      for (VertexId x = 0; x < num_vertices(); ++x) {
+        for (const uint64_t* k = flat.Run(x).key; *k != kSentinelKey; ++k) {
+          ++hub_entries_[in_side][*k >> 32];
         }
       }
-      if (!bwd_affected[r]) {
-        Cost vh = Query(request->v, h);
-        if (vh != kInfCost) {
-          Cost uh = Query(request->u, h);
-          if ((request->tight_old && *request->tight_old + vh == uh) ||
-              (request->tight_new && *request->tight_new + vh <= uh)) {
-            bwd_ranks.push_back(r);
-            bwd_affected[r] = true;
-          }
-        }
-      }
-      if (fwd_affected[r] && bwd_affected[r]) break;
     }
   }
-  KOSR_COUNT(kRepairTightnessTests, static_cast<uint64_t>(n) * active.size());
-  if (fwd_ranks.empty() && bwd_ranks.empty()) return {};
-
-  // Phase 2 — drop every label entry owned by an affected hub. Entries can
-  // move to new vertices after the update (weaker coverage), so a full
-  // re-search replaces a per-entry patch; stale entries must go first or
-  // InsertOrUpdate would keep their smaller, now-wrong distances. Only the
-  // vertices holding such an entry get an edit buffer.
-  LabelEdits edits(n);
-  auto scrub = [&](VertexId x, bool in_side,
-                   const std::vector<bool>& affected) {
-    const FlatSide& flat = in_side ? flat_in_ : flat_out_;
-    LabelRun run = flat.Run(x);
-    bool any = false;
-    for (uint32_t i = 0; i < run.size && !any; ++i) {
-      any = affected[run.RankAt(i)];
-    }
-    if (!any) return;
-    std::erase_if(edits.Side(in_side).Open(x, flat), [&](const LabelEntry& e) {
-      return affected[e.hub_rank];
-    });
-  };
-  for (VertexId x = 0; x < n; ++x) {
-    scrub(x, /*in_side=*/true, fwd_affected);
-    scrub(x, /*in_side=*/false, bwd_affected);
-  }
-
-  // Phase 3 — re-run the affected hubs' pruned searches against the updated
-  // graph, interleaved in ascending rank order with forward before backward
-  // at equal rank: exactly the order the sequential build commits in, so
-  // every prune runs against the canonical label prefix (smaller affected
-  // ranks already repaired, unaffected ranks provably unchanged) and the
-  // committed entries are byte-identical to a from-scratch build's.
-  KOSR_COUNT(kRepairResearches, fwd_ranks.size() + bwd_ranks.size());
-  SearchContext ctx(n);
-  size_t fi = 0, bi = 0;
-  while (fi < fwd_ranks.size() || bi < bwd_ranks.size()) {
-    bool take_fwd = bi >= bwd_ranks.size() ||
-                    (fi < fwd_ranks.size() && fwd_ranks[fi] <= bwd_ranks[bi]);
-    uint32_t r = take_fwd ? fwd_ranks[fi++] : bwd_ranks[bi++];
-    PrunedSearch(graph, r, /*forward=*/take_fwd, ctx, edits, nullptr);
-  }
-
-  // Reseal exactly the runs whose buffers differ from them: a re-search
-  // that removes and re-inserts identical entries (tight-but-unchanged
-  // hubs) contributes nothing to the delta.
-  LabelRepairDelta delta;
-  delta.changed_in = SealEdits(flat_in_, edits.in, &delta.old_in);
-  delta.changed_out = SealEdits(flat_out_, edits.out, nullptr);
-  return delta;
+  return Repair(*this, graph, std::move(active)).Run();
 }
 
 double HubLabeling::AvgInLabelSize() const {

@@ -181,20 +181,23 @@ class HubLabeling {
 
   // --- Incremental maintenance (Sec. IV-C) ----------------------------------
   // All three edge-update repairs share one canonical algorithm (DESIGN.md,
-  // "Dynamic updates"): identify the *affected hubs* — exactly those with a
-  // shortest path through the updated arc in the old or new graph, found by
-  // tightness tests on the pre-update labels — drop their label entries,
-  // and re-run their full pruned searches in rank order. Because the hub
-  // order covers every vertex, unaffected hubs' entries are provably
-  // already canonical for the new graph, so the result is byte-identical
-  // to a from-scratch Build on the updated graph with the same hub order
-  // (asserted in dynamic_update_test), after any mix of updates. An empty
-  // delta therefore certifies that *no* distance, parent chain, or label
-  // changed at all — callers use that to skip downstream invalidation.
+  // "Dynamic updates"): a rank-ordered worklist visits (hub, direction)
+  // pairs in the order the build commits them and re-runs a hub's pruned
+  // search only when that search could diverge from its pre-update run —
+  // it relaxes an updated arc, its hub table changed, or a vertex it pops
+  // changed its prune decision — and only if the updated arc is
+  // distance-tight for the hub. Each re-search writes exactly the entries
+  // that differ from the hub's old ones, and those differences feed the
+  // worklist for larger ranks. Every other hub's entries are provably
+  // already canonical, so the result is byte-identical to a from-scratch
+  // Build on the updated graph with the same hub order (asserted in
+  // dynamic_update_test), after any mix of updates. An empty delta
+  // therefore certifies that *no* distance, parent chain, or label changed
+  // at all — callers use that to skip downstream invalidation.
 
   /// Repair after an edge insertion or weight decrease of arc (u, v) to
-  /// `w`; `graph` must already contain the new weight. Affected hubs are
-  /// those with dis(h, u) + w <= dis(h, v) on the old labels (ties
+  /// `w`; `graph` must already contain the new weight. Only hubs with
+  /// dis(h, u) + w <= dis(h, v) on the old labels can change (ties
   /// included: a new equal-cost path can re-cover entries and re-tie
   /// canonical parents); a strictly cheaper existing route short-circuits
   /// the whole repair with one label query.
@@ -203,9 +206,9 @@ class HubLabeling {
 
   /// Repair after a weight *increase* of arc (u, v): `old_weight` is the
   /// minimum u->v weight before the update, `graph` already carries the
-  /// raised weight. Affected hubs are those with dis(h, u) + old_weight ==
-  /// dis(h, v) on the pre-update labels — an old shortest path used (or
-  /// tied with) the arc.
+  /// raised weight. Only hubs with dis(h, u) + old_weight == dis(h, v) on
+  /// the pre-update labels can change — an old shortest path used (or tied
+  /// with) the arc.
   LabelRepairDelta OnEdgeIncreased(const Graph& graph, VertexId u, VertexId v,
                                    Weight old_weight);
 
@@ -228,18 +231,18 @@ class HubLabeling {
     std::optional<Cost> tight_new;
   };
 
-  /// Batched canonical repair (ISSUE 8): unions the affected-hub sets of
-  /// all requests — each identified by the same tightness tests on the
-  /// shared pre-batch labels — scrubs the union once, and re-runs each
-  /// affected hub's pruned search once, in the canonical rank order.
+  /// Batched canonical repair: one worklist pass over the union of all
+  /// requests, seeded by every request's arc and tested against every
+  /// request's tightness on the shared pre-batch labels, re-running each
+  /// hub's pruned search at most once, in the canonical rank order.
   /// `graph` must already carry every post-batch weight. Requests whose
   /// short-circuit fires (an existing route strictly beats every engaged
-  /// tight, so neither test can fire for any hub) are skipped
-  /// individually. Equivalent to applying the requests one at a time —
-  /// and byte-identical to a from-scratch rebuild — at the cost of one
-  /// affected-hub sweep and one re-search per hub instead of one per
-  /// update (the batched direction of dynamic pruned landmark labeling,
-  /// Akiba et al., WWW'14).
+  /// tight, so the arc is on no shortest path before or after) are
+  /// skipped individually. Equivalent to applying the requests one at a
+  /// time — and byte-identical to a from-scratch rebuild — at the cost of
+  /// one re-search per diverging hub instead of one per update (the
+  /// batched direction of dynamic pruned landmark labeling, Akiba et al.,
+  /// WWW'14).
   LabelRepairDelta RepairEdgeUpdates(const Graph& graph,
                                      std::span<const EdgeRepairRequest> requests);
 
@@ -280,6 +283,7 @@ class HubLabeling {
   struct CandidateLabel;   // (vertex, dist, parent) produced by a search.
   struct EditSide;         // Transient per-vertex edit buffers of one side.
   struct LabelEdits;       // Both sides' edit buffers.
+  class Repair;            // One batched repair's worklist and diff.
 
   /// One direction of the sealed flat store. Runs live back to back in the
   /// hot `key` array (packed rank|dist, each run terminated by a
@@ -355,11 +359,11 @@ class HubLabeling {
                     SearchContext& ctx, LabelEdits& edits,
                     std::vector<CandidateLabel>* candidates) const;
 
-  // Shared canonical repair for every edge-update kind. `tight_old` is the
-  // pre-update minimum u->v weight (absent for an insertion), `tight_new`
-  // the post-update one (absent for a deletion); a hub is affected when
-  // either tightness test fires. `graph` is the post-update graph, labels
-  // still pre-update.
+  // Shared canonical repair for every edge-update kind: RepairEdgeUpdates
+  // over one request. `tight_old` is the pre-update minimum u->v weight
+  // (absent for an insertion), `tight_new` the post-update one (absent for
+  // a deletion). `graph` is the post-update graph, labels still
+  // pre-update.
   LabelRepairDelta RepairEdgeUpdate(const Graph& graph, VertexId u, VertexId v,
                                     std::optional<Cost> tight_old,
                                     std::optional<Cost> tight_new);
@@ -373,6 +377,11 @@ class HubLabeling {
 
   FlatSide flat_in_;
   FlatSide flat_out_;
+  // Entries per hub rank in Lin ([0]) and Lout ([1]): a repair compares a
+  // re-search's output against them to tell whether any old entry vanished.
+  // Counted at the first repair and kept current by every repair after it;
+  // empty until then.
+  std::vector<uint32_t> hub_entries_[2];
   std::vector<VertexId> order_;
   std::vector<uint32_t> rank_;
   double build_seconds_ = 0;

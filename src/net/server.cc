@@ -8,8 +8,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -280,6 +282,15 @@ void NetServer::AcceptNew() {
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // The write-buffer cap only sees bytes the kernel refused. Left to
+    // autotuning, the kernel send buffer of a peer that stops reading grows
+    // to tcp_wmem's maximum (4 MB by default) and absorbs that much before
+    // any send comes up short; sized to the cap, it bounds the unsent
+    // bytes of a connection to about twice the cap, kernel and server
+    // together.
+    int sndbuf = static_cast<int>(std::min<size_t>(
+        options_.max_write_buffer_bytes, std::numeric_limits<int>::max()));
+    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
     auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;

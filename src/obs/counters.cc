@@ -23,6 +23,8 @@ const char* CounterName(Counter c) {
       return "repair_tightness_tests";
     case Counter::kRepairResearches:
       return "repair_researches";
+    case Counter::kRepairUnchangedResearches:
+      return "repair_unchanged_researches";
     case Counter::kScratchPeakWitnesses:
       return "scratch_peak_witnesses";
   }

@@ -17,11 +17,12 @@ enum class Counter : uint32_t {
   kGallopProbes,           ///< lower_bound probes on the galloping path.
   kNnCursorPops,           ///< FindNN/FindNEN frontier heap pops.
   kPrunedRelaxations,      ///< Arc relaxations inside pruned searches.
-  kRepairTightnessTests,   ///< Repair phase 1: per-rank tightness tests.
-  kRepairResearches,       ///< Repair phase 3: re-run pruned searches.
+  kRepairTightnessTests,   ///< (hub, direction) pairs a repair examined.
+  kRepairResearches,       ///< Pruned searches a repair re-ran.
+  kRepairUnchangedResearches,  ///< Re-searches whose entries came out as before.
   kScratchPeakWitnesses,   ///< High-water witness-pool size (max, not sum).
 };
-inline constexpr size_t kNumCounters = 9;
+inline constexpr size_t kNumCounters = 10;
 
 /// Stable snake_case name for the JSON/METRICS surface.
 const char* CounterName(Counter c);

@@ -74,6 +74,30 @@ class ScopedPin {
   const EngineSnapshot* snapshot_;
 };
 
+// Folds the engine counters the calling thread bumps while in scope into
+// the registry. Workers fold around each query; update applications run on
+// whichever thread submits or flushes them (the network loop, the batch
+// flusher, a stdio caller), and their repair counters would otherwise never
+// reach METRICS.
+class CounterFold {
+ public:
+  explicit CounterFold(MetricsRegistry& metrics)
+      : metrics_(metrics), on_(obs::Enabled()) {
+    if (on_) before_ = obs::TlsCounters();
+  }
+  ~CounterFold() {
+    if (on_) metrics_.AddEngineCounters(obs::Diff(obs::TlsCounters(), before_));
+  }
+
+  CounterFold(const CounterFold&) = delete;
+  CounterFold& operator=(const CounterFold&) = delete;
+
+ private:
+  MetricsRegistry& metrics_;
+  const bool on_;
+  obs::EngineCounters before_;
+};
+
 }  // namespace
 
 KosrService::KosrService(KosrEngine engine, const ServiceConfig& config,
@@ -102,6 +126,7 @@ KosrService::KosrService(KosrEngine engine, const ServiceConfig& config,
   checkpoint_seq_hint_.store(checkpoint_seq_, std::memory_order_relaxed);
   metrics_.SetSlowLogCapacity(
       config.slow_query_threshold_s > 0 ? config.slow_log_capacity : 0);
+  if (obs::Enabled()) metrics_.AddEngineCounters(durability.replay_counters);
   if (config.start_workers) Start();
 }
 
@@ -366,7 +391,10 @@ UpdateAck KosrService::AddVertexCategory(VertexId v, CategoryId c) {
     applied_seq_ = std::max(applied_seq_, seq);
     applied_seq_hint_.store(applied_seq_, std::memory_order_relaxed);
   }
-  engine_.AddVertexCategory(v, c);
+  {
+    CounterFold fold(metrics_);
+    engine_.AddVertexCategory(v, c);
+  }
   uint64_t version = ++next_version_;
   cache_.BeginInvalidation(version);
   cache_.InvalidateCategory(c);
@@ -392,7 +420,10 @@ UpdateAck KosrService::RemoveVertexCategory(VertexId v, CategoryId c) {
     applied_seq_ = std::max(applied_seq_, seq);
     applied_seq_hint_.store(applied_seq_, std::memory_order_relaxed);
   }
-  engine_.RemoveVertexCategory(v, c);
+  {
+    CounterFold fold(metrics_);
+    engine_.RemoveVertexCategory(v, c);
+  }
   uint64_t version = ++next_version_;
   cache_.BeginInvalidation(version);
   cache_.InvalidateCategory(c);
@@ -486,7 +517,10 @@ UpdateAck KosrService::ApplyBatchLocked(std::span<const EdgeUpdate> batch,
       journal_->SyncIfAlways();
     }
     KOSR_FAILPOINT(kFailpointMidBatchApply);
-    ack.summary = engine_.ApplyEdgeUpdates(batch);
+    {
+      CounterFold fold(metrics_);
+      ack.summary = engine_.ApplyEdgeUpdates(batch);
+    }
     if (journal_) {
       applied_seq_ = std::max(applied_seq_, batch_last_seq);
       applied_seq_hint_.store(applied_seq_, std::memory_order_relaxed);

@@ -44,6 +44,9 @@ struct DurabilityAttachment {
   /// Recovery statistics, surfaced through METRICS.
   uint64_t replayed_records = 0;
   double recovery_s = 0;
+  /// Engine counters the replay bumped (its label repairs), folded into
+  /// METRICS at construction.
+  obs::EngineCounters replay_counters;
 };
 
 /// Result of an explicit checkpoint request.

@@ -151,6 +151,98 @@ class IndexedMinHeap {
   std::vector<uint32_t> touched_;
 };
 
+/// Addressable 4-ary min-heap like IndexedMinHeap, for the pruned searches
+/// of hub labeling, with two differences. Priorities are 32-bit, as label
+/// distances are (a larger one wraps and pops out of order), and each entry
+/// packs (priority, key) into one 64-bit word: half the footprint, one
+/// compare per step. And entries are ordered by (priority, key), a total
+/// order, so the sequence of pops depends only on which entries are
+/// queued, never on the order they were queued in. A search over
+/// zero-weight arcs needs that: the canonical parent of a vertex depends on
+/// which equal-distance vertices pop before it, and a repair only
+/// reproduces a build's labels if that does not depend on heap history
+/// (DESIGN.md, "Dynamic updates"). IndexedMinHeap stays for the searches
+/// whose costs can outgrow 32 bits (multi-leg route costs).
+class PackedMinHeap {
+ public:
+  explicit PackedMinHeap(uint32_t universe = 0) : pos_(universe, kAbsent) {}
+
+  bool Empty() const { return heap_.empty(); }
+
+  /// Inserts `key`, or lowers its priority if already present with a higher
+  /// one.
+  void InsertOrDecrease(uint32_t key, Cost priority) {
+    assert(key < pos_.size());
+    const uint64_t entry = (static_cast<uint64_t>(priority) << 32) | key;
+    uint32_t i = pos_[key];
+    if (i == kAbsent) {
+      i = static_cast<uint32_t>(heap_.size());
+      pos_[key] = i;
+      heap_.push_back(entry);
+      touched_.push_back(key);
+    } else if (heap_[i] <= entry) {
+      return;
+    } else {
+      heap_[i] = entry;
+    }
+    SiftUp(i);
+  }
+
+  /// Removes and returns the (priority, key) pair that comes first.
+  std::pair<Cost, uint32_t> ExtractMin() {
+    assert(!heap_.empty());
+    const uint64_t top = heap_[0];
+    SwapEntries(0, static_cast<uint32_t>(heap_.size() - 1));
+    heap_.pop_back();
+    pos_[static_cast<uint32_t>(top)] = kAbsent;
+    if (!heap_.empty()) SiftDown(0);
+    return {static_cast<Cost>(top >> 32), static_cast<uint32_t>(top)};
+  }
+
+  /// Empties the heap and resets position bookkeeping for touched keys only.
+  void Clear() {
+    for (uint32_t k : touched_) pos_[k] = kAbsent;
+    touched_.clear();
+    heap_.clear();
+  }
+
+ private:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  void SwapEntries(uint32_t a, uint32_t b) {
+    std::swap(heap_[a], heap_[b]);
+    pos_[static_cast<uint32_t>(heap_[a])] = a;
+    pos_[static_cast<uint32_t>(heap_[b])] = b;
+  }
+
+  void SiftUp(uint32_t i) {
+    while (i > 0) {
+      uint32_t parent = (i - 1) / 4;
+      if (heap_[parent] <= heap_[i]) break;
+      SwapEntries(parent, i);
+      i = parent;
+    }
+  }
+
+  void SiftDown(uint32_t i) {
+    for (;;) {
+      uint32_t best = i;
+      uint32_t first_child = 4 * i + 1;
+      for (uint32_t c = first_child;
+           c < first_child + 4 && c < heap_.size(); ++c) {
+        if (heap_[c] < heap_[best]) best = c;
+      }
+      if (best == i) return;
+      SwapEntries(best, i);
+      i = best;
+    }
+  }
+
+  std::vector<uint64_t> heap_;  ///< (priority << 32) | key.
+  std::vector<uint32_t> pos_;
+  std::vector<uint32_t> touched_;
+};
+
 }  // namespace kosr
 
 #endif  // KOSR_UTIL_MIN_HEAP_H_

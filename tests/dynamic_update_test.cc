@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/nn/inverted_label_index.h"
+#include "src/obs/counters.h"
 #include "tests/test_util.h"
 
 namespace kosr {
@@ -361,6 +363,162 @@ TEST(DynamicUpdateTest, NoOpEdgeUpdateLeavesAnswersIdentical) {
   EXPECT_EQ(engine.graph().num_edges(), arcs);
   EXPECT_EQ(engine.graph().ArcWeight(u, v), static_cast<Cost>(w));
   ExpectMatchesRebuild(engine);
+}
+
+// One random ApplyEdgeUpdates batch mixing the four arc changes a repair
+// must handle: a fresh insertion, a decrease and an increase of existing
+// arcs, and the deletion of an arc some label entry uses as its parent
+// link — so the walk over the hub's old parent tree has to follow an arc
+// the updated graph no longer has. `pick_weight` draws insertion weights;
+// decreases halve (rounding down, so unit and zero weights reach 0 and
+// stay tied) and increases add at least one.
+std::vector<EdgeUpdate> RandomMixedBatch(
+    const KosrEngine& engine, std::mt19937_64& rng,
+    const std::function<Weight(std::mt19937_64&)>& pick_weight) {
+  const Graph& graph = engine.graph();
+  const HubLabeling& labels = engine.labeling();
+  uint32_t n = graph.num_vertices();
+  auto edges = graph.ToEdges();
+  std::vector<EdgeUpdate> batch;
+  for (int attempt = 0; attempt < 16; ++attempt) {  // fresh insertion
+    VertexId u = static_cast<VertexId>(rng() % n);
+    VertexId v = static_cast<VertexId>(rng() % n);
+    if (u != v && graph.ArcWeight(u, v) == kInfCost) {
+      batch.push_back({EdgeUpdate::Kind::kAddOrDecrease, u, v,
+                       pick_weight(rng)});
+      break;
+    }
+  }
+  {  // decrease
+    auto [u, v, w] = edges[rng() % edges.size()];
+    batch.push_back({EdgeUpdate::Kind::kSet, u, v, w / 2});
+  }
+  {  // increase
+    auto [u, v, w] = edges[rng() % edges.size()];
+    batch.push_back(
+        {EdgeUpdate::Kind::kSet, u, v, w + 1 + static_cast<Weight>(rng() % 8)});
+  }
+  for (int attempt = 0; attempt < 16; ++attempt) {  // parent-link deletion
+    VertexId x = static_cast<VertexId>(rng() % n);
+    bool in_side = rng() % 2 == 0;
+    LabelRun run = in_side ? labels.InRun(x) : labels.OutRun(x);
+    if (run.size == 0) continue;
+    uint32_t i = static_cast<uint32_t>(rng() % run.size);
+    VertexId p = run.parent[i];
+    if (p == kInvalidVertex) continue;
+    // Lin parents precede x on the hub's path (arc p -> x); Lout parents
+    // follow it (arc x -> p).
+    batch.push_back(in_side ? EdgeUpdate{EdgeUpdate::Kind::kRemove, p, x, 0}
+                            : EdgeUpdate{EdgeUpdate::Kind::kRemove, x, p, 0});
+    break;
+  }
+  std::shuffle(batch.begin(), batch.end(), rng);
+  return batch;
+}
+
+// Applies `batches` random mixed batches, checking the repaired labels
+// byte for byte against a from-scratch build after every one.
+void RunMixedBatches(KosrEngine& engine, uint64_t seed, int batches,
+                     const std::function<Weight(std::mt19937_64&)>& pick) {
+  std::mt19937_64 rng(seed);
+  for (int b = 0; b < batches; ++b) {
+    std::vector<EdgeUpdate> batch = RandomMixedBatch(engine, rng, pick);
+    engine.ApplyEdgeUpdates(batch);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " batch " << b);
+    ExpectLabelsCanonical(engine);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+CategoryTable RoundRobinCategories(uint32_t n, uint32_t num_categories) {
+  CategoryTable cats(n, num_categories);
+  for (VertexId v = 0; v < n; ++v) cats.Add(v, v % num_categories);
+  return cats;
+}
+
+// The order servebench serves road grids with: recursive separator
+// dissection, whose top separators label nearly every vertex.
+TEST(DynamicUpdateTest, BatchedStreamsOnDissectionOrderedGridsMatchRebuild) {
+  for (uint64_t seed : {4u, 17u}) {
+    const uint32_t side = 12;
+    KosrEngine engine(MakeGridRoadNetwork(side, side, seed),
+                      RoundRobinCategories(side * side, 3));
+    engine.BuildIndexes(GridDissectionOrder(side, side),
+                        testing::TestThreads());
+    RunMixedBatches(engine, seed, 12, [](std::mt19937_64& rng) {
+      return static_cast<Weight>(10 + rng() % 91);
+    });
+  }
+}
+
+// Unit weights on a small-world graph: almost every pair has many
+// equal-cost shortest paths, so prune ties and canonical parent ties
+// dominate the repair.
+TEST(DynamicUpdateTest, BatchedStreamsOnUnitWeightSmallWorldMatchRebuild) {
+  for (uint64_t seed : {6u, 31u}) {
+    const uint32_t n = 120;
+    KosrEngine engine(MakeSmallWorld(n, 2, 0.5, seed),
+                      RoundRobinCategories(n, 3));
+    engine.BuildIndexes(testing::TestThreads());
+    RunMixedBatches(engine, seed, 12,
+                    [](std::mt19937_64&) { return Weight{1}; });
+  }
+}
+
+// Zero-weight arcs: equal-distance vertices are then adjacent, the search
+// pops them in heap order, and a repair that skips a hub must leave its
+// entries exactly as a fresh search would write them.
+TEST(DynamicUpdateTest, BatchedStreamsWithZeroWeightArcsMatchRebuild) {
+  for (uint64_t seed : {8u, 23u}) {
+    const uint32_t n = 60;
+    KosrEngine engine(MakeRandomGraph(n, 200, seed, 0, 6),
+                      RoundRobinCategories(n, 3));
+    engine.BuildIndexes(1);
+    RunMixedBatches(engine, seed, 12, [](std::mt19937_64& rng) {
+      return static_cast<Weight>(rng() % 3);
+    });
+  }
+}
+
+// The repair re-searches only hubs whose pruned search can diverge from the
+// old one, a strict subset of the hubs the updated arc is distance-tight
+// for (every one of which a sweep of tightness tests would re-search). The
+// scenario is fixed, so the counts repeat exactly.
+TEST(DynamicUpdateTest, RepairReSearchesFewerHubsThanAreDistanceTight) {
+  if (!obs::Enabled()) GTEST_SKIP() << "engine counters are disabled";
+  const uint32_t side = 16;
+  Graph graph = MakeGridRoadNetwork(side, side, 5);
+  // An arc off the top-level separators, on a few hundred hubs' shortest
+  // paths.
+  const VertexId u = 3 * side + 2;
+  const VertexId v = u + 1;
+  const Cost w_old = graph.ArcWeight(u, v);
+  ASSERT_LT(w_old, kInfCost);
+
+  // Distance-tight hubs on the old graph, by Dijkstra: forward hubs with
+  // dis(h, u) + w == dis(h, v), backward hubs with w + dis(v, h) == dis(u, h).
+  uint64_t tight = 0;
+  std::vector<Cost> from_u = DijkstraAllDistances(graph, u, /*reverse=*/false);
+  std::vector<Cost> from_v = DijkstraAllDistances(graph, v, /*reverse=*/false);
+  std::vector<Cost> to_u = DijkstraAllDistances(graph, u, /*reverse=*/true);
+  std::vector<Cost> to_v = DijkstraAllDistances(graph, v, /*reverse=*/true);
+  for (VertexId h = 0; h < side * side; ++h) {
+    if (to_u[h] != kInfCost && to_u[h] + w_old == to_v[h]) ++tight;
+    if (from_v[h] != kInfCost && w_old + from_v[h] == from_u[h]) ++tight;
+  }
+  ASSERT_GT(tight, 0u);
+
+  KosrEngine engine(std::move(graph), RoundRobinCategories(side * side, 3));
+  engine.BuildIndexes(GridDissectionOrder(side, side));
+  const obs::EngineCounters before = obs::TlsCounters();
+  EdgeUpdateSummary summary =
+      engine.SetEdgeWeight(u, v, static_cast<Weight>(3 * w_old));
+  const obs::EngineCounters delta = obs::Diff(obs::TlsCounters(), before);
+  EXPECT_TRUE(summary.labels_changed);
+  uint64_t researches = delta.Get(obs::Counter::kRepairResearches);
+  EXPECT_GT(researches, 0u);
+  EXPECT_LT(researches, tight);
+  ExpectLabelsCanonical(engine);
 }
 
 }  // namespace

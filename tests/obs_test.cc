@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/graph/graph.h"
+#include "src/labeling/hub_labeling.h"
 #include "src/obs/counters.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/log_histogram.h"
@@ -294,6 +296,44 @@ TEST(EngineCountersTest, CountMacroBumpsTheCallingThreadsSlots) {
   EXPECT_EQ(delta.Get(Counter::kGallopProbes), 7u);
   EXPECT_EQ(delta.Get(Counter::kScratchPeakWitnesses),
             before.Get(Counter::kScratchPeakWitnesses) + 5);
+}
+
+// The repair counters say why a repair cost what it did: how many (hub,
+// direction) pairs its worklist examined, how many of those it re-searched,
+// and how many re-searches reproduced the old entries exactly (wasted work).
+// Graph 0 -> 2 -> 1 plus a direct 0 -> 1 that ties with the two-hop path;
+// raising 2 -> 1 re-searches hub 0 forward (its tree through 2 -> 1 is
+// tight, but vertex 1 keeps parent 0), hub 1 backward (Lout(2) moves from
+// 1 to 5) and hub 2 forward (forced by that change to its own Lout, yet
+// vertex 1 stays pruned), and examines hub 2 backward without re-searching
+// it (the raised arc lies on no path to vertex 2).
+TEST(EngineCountersTest, RepairCountersSplitExaminedResearchedAndUnchanged) {
+  if (!Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
+  Graph graph = Graph::FromEdges(3, {{0, 2, 1}, {2, 1, 1}, {0, 1, 2}});
+  HubLabeling labels;
+  labels.Build(graph, std::vector<VertexId>{0, 1, 2});
+  graph.SetArcWeight(2, 1, 5);
+  EngineCounters before = TlsCounters();
+  LabelRepairDelta delta = labels.OnEdgeIncreased(graph, 2, 1, 1);
+  EngineCounters counters = Diff(TlsCounters(), before);
+  EXPECT_EQ(delta.changed_out, std::vector<VertexId>{2});
+  EXPECT_EQ(counters.Get(Counter::kRepairTightnessTests), 4u);
+  EXPECT_EQ(counters.Get(Counter::kRepairResearches), 3u);
+  EXPECT_EQ(counters.Get(Counter::kRepairUnchangedResearches), 2u);
+  EXPECT_EQ(std::string(CounterName(Counter::kRepairTightnessTests)),
+            "repair_tightness_tests");
+  EXPECT_EQ(std::string(CounterName(Counter::kRepairUnchangedResearches)),
+            "repair_unchanged_researches");
+
+  // An arc off every shortest path short-circuits: nothing is examined.
+  Graph detour = Graph::FromEdges(3, {{0, 1, 1}, {1, 2, 1}, {0, 2, 100}});
+  labels.Build(detour, std::vector<VertexId>{0, 1, 2});
+  detour.SetArcWeight(0, 2, 200);
+  before = TlsCounters();
+  EXPECT_TRUE(labels.OnEdgeIncreased(detour, 0, 2, 100).Empty());
+  counters = Diff(TlsCounters(), before);
+  EXPECT_EQ(counters.Get(Counter::kRepairTightnessTests), 0u);
+  EXPECT_EQ(counters.Get(Counter::kRepairResearches), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -465,6 +465,43 @@ TEST(ServiceTest, EngineCountersAndStageSpansFlowIntoMetrics) {
   EXPECT_TRUE(v.At("slow_queries").IsArray());
 }
 
+// Repairs run on whichever thread applies an update, not on a worker, so
+// their counters must be folded into METRICS where the update is applied:
+// inline, at a batch flush, and (handed over at construction) in recovery
+// replay.
+TEST(ServiceTest, RepairCountersReachMetricsOnEveryUpdatePath) {
+  if (!obs::Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
+  auto repair_counter = [](const KosrService& service, obs::Counter c) {
+    return service.Metrics().counters[static_cast<size_t>(c)];
+  };
+  {
+    KosrService service(MakeLineEngine(), {.num_workers = 1});
+    // A shortcut 0 -> 2 changes labels: the repair must examine and
+    // re-search hubs, and METRICS must say so.
+    EdgeUpdateSummary summary = service.SetEdgeWeight(0, 2, 1).summary;
+    ASSERT_TRUE(summary.labels_changed);
+    EXPECT_GT(repair_counter(service, obs::Counter::kRepairTightnessTests), 0u);
+    EXPECT_GT(repair_counter(service, obs::Counter::kRepairResearches), 0u);
+  }
+  {
+    ServiceConfig config;
+    config.num_workers = 1;
+    config.update_batch_window_s = 60;  // only the explicit flush applies
+    KosrService service(MakeLineEngine(), config);
+    EXPECT_FALSE(service.SetEdgeWeight(0, 2, 1).applied);
+    EXPECT_EQ(repair_counter(service, obs::Counter::kRepairResearches), 0u);
+    ASSERT_TRUE(service.FlushUpdates().summary.labels_changed);
+    EXPECT_GT(repair_counter(service, obs::Counter::kRepairResearches), 0u);
+  }
+  {
+    DurabilityAttachment replayed;
+    replayed.replay_counters.Add(obs::Counter::kRepairResearches, 7);
+    KosrService service(MakeLineEngine(), {.num_workers = 1},
+                        std::move(replayed));
+    EXPECT_EQ(repair_counter(service, obs::Counter::kRepairResearches), 7u);
+  }
+}
+
 TEST(ServiceTest, SlowQueryLogRetainsMostRecentTraces) {
   if (!obs::Enabled()) GTEST_SKIP() << "KOSR_OBS_OFF=1 in the environment";
   ServiceConfig config;
