@@ -29,22 +29,14 @@ std::vector<LabelEntry>::iterator RankLowerBound(
                           });
 }
 
-// Inserts or updates an entry, keeping the buffer sorted by rank.
-void InsertOrUpdate(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
+// Sets the buffer's entry for entry.hub_rank, replacing any existing one
+// and keeping the buffer sorted by rank. A build writes ranks in ascending
+// order, so it almost always appends.
+void PutEntry(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
   if (labels.empty() || labels.back().hub_rank < entry.hub_rank) {
     labels.push_back(entry);
     return;
   }
-  auto it = RankLowerBound(labels, entry.hub_rank);
-  if (it != labels.end() && it->hub_rank == entry.hub_rank) {
-    if (entry.dist < it->dist) *it = entry;
-    return;
-  }
-  labels.insert(it, entry);
-}
-
-// Sets the buffer's entry for entry.hub_rank, replacing any existing one.
-void PutEntry(std::vector<LabelEntry>& labels, const LabelEntry& entry) {
   auto it = RankLowerBound(labels, entry.hub_rank);
   if (it != labels.end() && it->hub_rank == entry.hub_rank) {
     *it = entry;
@@ -515,7 +507,7 @@ void HubLabeling::PrunedSearch(const Graph& graph, uint32_t rank, bool forward,
     if (candidates != nullptr) {
       candidates->push_back({x, static_cast<uint32_t>(d), parent[x]});
     } else {
-      InsertOrUpdate(
+      PutEntry(
           edits.Side(forward).Open(x, forward ? flat_in_ : flat_out_),
           {rank, static_cast<uint32_t>(d), parent[x]});
     }
@@ -563,7 +555,7 @@ void HubLabeling::CommitCandidates(
         static_cast<Cost>(c.dist)) {
       continue;
     }
-    InsertOrUpdate(
+    PutEntry(
         edits.Side(forward).Open(c.vertex, forward ? flat_in_ : flat_out_),
         {rank, c.dist, c.parent});
   }
@@ -1042,7 +1034,9 @@ LabelRepairDelta HubLabeling::RepairEdgeUpdates(
   // existing route strictly beats every engaged tight of a request, its
   // arc lies on no shortest path before or after the batch (dis(h, v) <=
   // dis(h, u) + dis(u, v) < dis(h, u) + tight for every hub), so it can
-  // change no label — skip it with one label query.
+  // change no label — skip it with one label query. An equal-cost route
+  // does not qualify: the arc then ties onto shortest paths and can re-tie
+  // canonical parents and cover paths.
   std::vector<const EdgeRepairRequest*> active;
   active.reserve(requests.size());
   for (const EdgeRepairRequest& request : requests) {
